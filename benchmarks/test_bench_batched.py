@@ -3,17 +3,16 @@
 The batched executor (:mod:`repro.san.batched`) earns its keep on exactly
 the workload the scalar hot-path overhaul already optimized: many
 replications of the n = 3 consensus SAN.  This benchmark times
-``solve(strategy="batched")`` against the scalar ``solve()`` on the same
-seeds and asserts the required >= 2x speedup -- after checking that the
-two produce *bit-identical* per-replication rewards (the batched
-draw-order contract), so the speed never comes from statistical drift.
+``solve()``, which always runs lock-step batches, against a scalar
+reference loop of ``run_replication`` on the same seeds and asserts the
+required >= 2x speedup -- after checking that the two produce
+*bit-identical* per-replication rewards (the batched draw-order
+contract), so the speed never comes from statistical drift.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.benchmarking import run_once
+from repro.benchmarking import best_of, run_once
 from repro.san import Case, Place, SANModel, TimedActivity
 from repro.san.rewards import ActivityCounter
 from repro.san.solver import SimulativeSolver
@@ -23,22 +22,11 @@ from repro.stats.distributions import BimodalUniform, Mixture, Shifted, Uniform
 #: Replications per timing leg.  Large enough that the batched executor's
 #: per-batch compilation and matrix set-up amortise (they do by ~50).
 REPLICATIONS = 200
-#: Required speedup of the batched strategy over the scalar loop.
+#: Required speedup of the batched solve over the scalar reference loop.
 REQUIRED_SPEEDUP = 2.0
 #: Required speedup of batched (pre-drawn) bimodal delays over the same
 #: delays forced onto the per-completion generic fallback.
 REQUIRED_BIMODAL_SPEEDUP = 1.5
-
-
-def _best_of(function, attempts=3):
-    """Best-of-N wall clock (damps noise from shared CI runners)."""
-    best = float("inf")
-    result = None
-    for _attempt in range(attempts):
-        started = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - started)
-    return result, best
 
 
 def test_bench_batched_consensus(benchmark):
@@ -51,19 +39,19 @@ def test_bench_batched_consensus(benchmark):
     batched_solver.run_batch([0])
 
     def solve_batched():
-        return batched_solver.solve(replications=REPLICATIONS, strategy="batched")
+        return batched_solver.solve(replications=REPLICATIONS)
 
     def solve_scalar():
-        return scalar_solver.solve(replications=REPLICATIONS)
+        return [scalar_solver.run_replication(index) for index in range(REPLICATIONS)]
 
-    fast_result, fast_s = _best_of(solve_batched)
+    fast_result, fast_s = best_of(solve_batched)
     run_once(benchmark, solve_batched, replications=REPLICATIONS)
-    slow_result, slow_s = _best_of(solve_scalar)
+    slow_result, slow_s = best_of(solve_scalar)
 
     # Determinism first: equal statistical precision means *identical*
     # per-replication results here, by the batched draw-order contract.
     assert [r.rewards for r in fast_result.replications] == [
-        r.rewards for r in slow_result.replications
+        r.rewards for r in slow_result
     ]
 
     speedup = slow_s / fast_s if fast_s > 0 else float("inf")
@@ -147,14 +135,14 @@ def test_bench_batched_bimodal_delays(benchmark):
     generic_solver.run_batch([0])
 
     def solve_batchable():
-        return batchable_solver.solve(replications=REPLICATIONS, strategy="batched")
+        return batchable_solver.solve(replications=REPLICATIONS)
 
     def solve_generic():
-        return generic_solver.solve(replications=REPLICATIONS, strategy="batched")
+        return generic_solver.solve(replications=REPLICATIONS)
 
-    fast_result, fast_s = _best_of(solve_batchable)
+    fast_result, fast_s = best_of(solve_batchable)
     run_once(benchmark, solve_batchable, replications=REPLICATIONS)
-    slow_result, slow_s = _best_of(solve_generic)
+    slow_result, slow_s = best_of(solve_generic)
 
     # Both legs drain every token -- only the delay *draw path* differs.
     expected = float(DRAIN_TOKENS * DRAIN_CHAINS)

@@ -15,9 +15,7 @@ an exact solve of the exponentialized n = 3 model.
 
 from __future__ import annotations
 
-import time
-
-from repro.benchmarking import run_once
+from repro.benchmarking import best_of, run_once
 from repro.san.analytic import AnalyticSolver
 from repro.san.reference import ReferenceExecutor
 from repro.san.solver import SimulativeSolver
@@ -36,23 +34,6 @@ def _run_replications(solver: SimulativeSolver, count: int = REPLICATIONS):
     return [solver.run_replication(index) for index in range(count)]
 
 
-def _best_of(function, attempts=3):
-    """Best-of-N wall clock (damps noise from shared CI runners).
-
-    This benchmark is also collected by the tier-1 test run, so the
-    speedup assertion must not flake on a throttled runner: each leg is
-    ~0.15 s, three attempts are cheap, and the measured margin (~3x
-    against the 2x bound) absorbs what best-of-three does not.
-    """
-    best = float("inf")
-    result = None
-    for _attempt in range(attempts):
-        started = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - started)
-    return result, best
-
-
 def test_bench_consensus_replications(benchmark):
     experiment = ConsensusSANExperiment(n_processes=3, seed=1)
     optimized = experiment.solver()
@@ -69,9 +50,9 @@ def test_bench_consensus_replications(benchmark):
     optimized.run_replication(0)
     reference.run_replication(0)
 
-    fast_results, fast_s = _best_of(lambda: _run_replications(optimized))
+    fast_results, fast_s = best_of(lambda: _run_replications(optimized))
     run_once(benchmark, _run_replications, optimized)
-    slow_results, slow_s = _best_of(lambda: _run_replications(reference))
+    slow_results, slow_s = best_of(lambda: _run_replications(reference))
 
     # Determinism first: the optimized executor must match the reference
     # replication for replication before its speed counts for anything.

@@ -88,13 +88,24 @@ def calibration_seconds(rounds: int = 3) -> float:
     """
     global _calibration_cache
     if _calibration_cache is None:
-        best = float("inf")
-        for _ in range(rounds):
-            started = time.perf_counter()
-            _calibration_workload()
-            best = min(best, time.perf_counter() - started)
-        _calibration_cache = best
+        _calibration_cache = best_of(_calibration_workload, rounds)[1]
     return _calibration_cache
+
+
+def best_of(function, attempts=3):
+    """``(result, seconds)``: the last result and the best-of-``attempts``
+    wall clock of calling ``function()``.
+
+    Ratio assertions time both legs this way, after a warm-up call off
+    the clock, so one slow attempt on a shared runner cannot fail them.
+    """
+    best = float("inf")
+    result = None
+    for _attempt in range(attempts):
+        started = time.perf_counter()
+        result = function()
+        best = min(best, time.perf_counter() - started)
+    return result, best
 
 
 def run_once(benchmark, function, *args, replications=None, **kwargs):

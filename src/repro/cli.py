@@ -22,17 +22,16 @@ Options:
 * ``--cache-dir DIR`` memoises per-point results on disk so that
   re-rendering a figure (or resuming after an interrupt) only recomputes
   missing points.
-* ``--strategy scalar|batched`` and ``--batch-size N|auto`` select the SAN
-  solver executor for every simulative point (any SAN-backed subcommand)
-  by activating the process execution policy
-  (:mod:`repro.san.execution`); both are pure throughput knobs -- results
-  are bit-identical -- so they share cached results with any other run.
 * ``--format text|json|csv`` chooses the stdout rendering: the
   paper-faithful text (default), the schema-valid JSON artifact envelope
   (run manifest included), or the experiment's tabular series as CSV.
 * ``--output DIR`` additionally writes every artifact --
   ``report.txt``, ``result.json``, ``result.csv`` (for tabular
   experiments) and ``manifest.json`` -- under ``DIR/<experiment>/``.
+
+Every SAN-backed subcommand solves its models with the lock-step batched
+executor, batches sized from the compiled model; there is no executor
+option to set.
 
 The textual output mirrors the corresponding table or figure of the paper;
 the same generators back the benchmark suite in ``benchmarks/``.
@@ -89,26 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="directory for on-disk memoisation of per-point results",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=("scalar", "batched"),
-        default=None,
-        help=(
-            "SAN solver executor for every simulative point: 'scalar' loops "
-            "replications, 'batched' advances them lock-step; results are "
-            "bit-identical (default: REPRO_SAN_STRATEGY or 'scalar')"
-        ),
-    )
-    parser.add_argument(
-        "--batch-size",
-        default=None,
-        metavar="N|auto",
-        help=(
-            "replications per lock-step batch under --strategy batched: a "
-            "count or 'auto' to size from the compiled model (default: "
-            "REPRO_SAN_BATCH_SIZE or 'auto'); never changes results"
-        ),
     )
     parser.add_argument(
         "--format",
@@ -187,8 +166,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        strategy=args.strategy,
-        batch_size=args.batch_size,
     )
     try:
         options.validate()

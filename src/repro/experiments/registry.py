@@ -16,8 +16,7 @@ dynamically instead of naming them in code:
   feeds run manifests.  This is the single code path replacing the
   per-module jobs/cache boilerplate.
 * :class:`ExperimentOptions` -- CLI-level options (scale, seed, jobs,
-  cache dir, SAN executor strategy/batch size) with the one shared
-  validation/resolution routine.
+  cache dir) with the one shared validation/resolution routine.
 * :func:`run_experiment` -- execute a spec and return the result *plus*
   its :class:`~repro.experiments.artifacts.RunManifest`.
 * :func:`register` / :func:`get` / :func:`names` / :func:`iter_specs` /
@@ -58,7 +57,6 @@ from repro.experiments.runner import (
     iter_plan,
 )
 from repro.experiments.settings import ExperimentSettings
-from repro.san import execution
 
 __all__ = [
     "Aggregate",
@@ -273,26 +271,17 @@ def get(name: str) -> ExperimentSpec:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExperimentOptions:
-    """Scale/seed/jobs/cache/executor options with one shared validation path.
+    """Scale/seed/jobs/cache options with one shared validation path.
 
     Both the CLI and library callers resolve through here, so the
-    ``--jobs``/``--cache-dir``/``--strategy``/``--batch-size`` checks (and
-    their error wording) exist in exactly one place.
-
-    ``strategy`` and ``batch_size`` select the SAN solver executor for
-    every simulative point of the run by activating the process execution
-    policy (:mod:`repro.san.execution`) when the context is built.  They
-    never change results -- both executors are bit-identical per
-    replication -- and are therefore deliberately absent from settings
-    hashes and result-cache keys: flipping the strategy reuses the cache.
+    ``--jobs``/``--cache-dir`` checks (and their error wording) exist in
+    exactly one place.
     """
 
     scale: Optional[str] = None
     seed: Optional[int] = None
     jobs: Optional[int] = 1
     cache_dir: Optional[str] = None
-    strategy: Optional[str] = None
-    batch_size: Optional[Any] = None
 
     def validate(self) -> None:
         """Raise ``ValueError`` on invalid options."""
@@ -309,10 +298,6 @@ class ExperimentOptions:
             raise ValueError(
                 f"--cache-dir {self.cache_dir!r} exists and is not a directory"
             )
-        if self.strategy is not None:
-            execution.parse_strategy(self.strategy, source="--strategy")
-        if self.batch_size is not None:
-            execution.parse_batch_size(self.batch_size, source="--batch-size")
 
     def resolve_settings(self) -> ExperimentSettings:
         """The settings selected by ``scale`` (or the environment) and ``seed``."""
@@ -327,27 +312,8 @@ class ExperimentOptions:
     def context(
         self, settings: Optional[ExperimentSettings] = None
     ) -> ExperimentContext:
-        """Validate and build the execution context.
-
-        Set ``strategy``/``batch_size`` fields are overlaid onto the
-        process execution policy (unset fields leave any environment-level
-        policy alone), so every SAN solver call of the run -- including
-        those inside pooled worker processes, which inherit the policy's
-        environment transport -- resolves to them.
-        """
+        """Validate and build the execution context."""
         self.validate()
-        if self.strategy is not None or self.batch_size is not None:
-            current = execution.active_policy()
-            execution.activate(
-                execution.ExecutionPolicy(
-                    strategy=self.strategy
-                    if self.strategy is not None
-                    else current.strategy,
-                    batch_size=self.batch_size
-                    if self.batch_size is not None
-                    else current.batch_size,
-                )
-            )
         return ExperimentContext.create(
             settings or self.resolve_settings(), jobs=self.jobs, cache_dir=self.cache_dir
         )

@@ -4,8 +4,10 @@ The analytic CTMC solver (:mod:`repro.san.analytic`) and the simulative
 solver (:mod:`repro.san.solver`) must agree wherever both apply: on models
 whose timed activities are all exponential.  This sweep solves each model
 of a small validation suite **three ways** -- analytically, simulatively
-with the scalar executor, and simulatively with the lock-step batched
-executor (``strategy="batched"``) -- and reports, per reward variable,
+with a :meth:`~repro.san.solver.SimulativeSolver.run_replication` loop
+through the scalar reference executor, and simulatively with
+:meth:`~repro.san.solver.SimulativeSolver.solve`, which runs the
+lock-step batched executor -- and reports, per reward variable,
 the exact analytic value, each simulative mean with its 95% confidence
 interval, whether the exact value falls inside the intervals, and the
 wall-clock speedups.  The scalar and batched legs share replication
@@ -43,7 +45,7 @@ from repro.san.rewards import (
     IntervalOfTime,
     RewardVariable,
 )
-from repro.san.solver import SimulativeSolver
+from repro.san.solver import SimulativeSolver, SolverResult
 from repro.sanmodels.consensus_model import consensus_stop_predicate, latency_reward
 from repro.sanmodels.exponential import (
     DELIVERED_PLACE,
@@ -283,7 +285,13 @@ def _solver_compare_point(
         # produce stateless models safe to share across replications.
         reuse_model=True,
     )
-    simulative_result = simulative.solve(replications=replications)
+    # The scalar reference leg: solve() always runs lock-step batches.
+    simulative_result = SolverResult(
+        replications=[
+            simulative.run_replication(index) for index in range(replications)
+        ],
+        confidence=COMPARISON_CONFIDENCE,
+    )
     simulative_seconds = time.perf_counter() - started  # repro: ignore[DET004] measures solver wall-clock, the quantity this experiment reports; not simulation state
 
     started = time.perf_counter()  # repro: ignore[DET004] measures solver wall-clock, the quantity this experiment reports; not simulation state
@@ -296,7 +304,7 @@ def _solver_compare_point(
         confidence=COMPARISON_CONFIDENCE,
         reuse_model=True,
     )
-    batched_result = batched.solve(replications=replications, strategy="batched")
+    batched_result = batched.solve(replications=replications)
     batched_seconds = time.perf_counter() - started  # repro: ignore[DET004] measures solver wall-clock, the quantity this experiment reports; not simulation state
 
     point = SolverComparePoint(

@@ -20,11 +20,11 @@ This package is the repository's stand-in for UltraSAN / Möbius, the
 * A **simulative solver** running independent replications until a target
   confidence-interval precision is reached (:mod:`repro.san.solver`)
   -- the paper had to use simulative solvers because of its
-  non-exponential distributions (§5).  Replications run one at a time
-  through the scalar executor (:mod:`repro.san.executor`) or lock-step
-  in batches through a compiled form of the model
-  (:mod:`repro.san.compiled`, :mod:`repro.san.batched`) with
-  bit-identical results (``solve(..., strategy="batched")``).
+  non-exponential distributions (§5).  ``solve()`` runs replications
+  lock-step in batches through a compiled form of the model
+  (:mod:`repro.san.compiled`, :mod:`repro.san.batched`);
+  ``run_replication()`` runs one at a time through the scalar reference
+  executor (:mod:`repro.san.executor`) with bit-identical results.
 * An **analytic solver** for the exponential corner of the model space:
   reachability-graph state-space generation
   (:mod:`repro.san.statespace`) and exact CTMC solution -- steady state,

@@ -36,7 +36,7 @@ seed, at any batch size:
   sequence numbers -- which break same-instant completion ties exactly
   like the scalar calendar's -- are assigned identically;
 * duration draws use the same pre-drawn per-stream batches
-  (:class:`~repro.san.executor._BatchedDurationSampler`), which numpy
+  (:class:`~repro.san.compiled._BatchedDurationSampler`), which numpy
   guarantees bit-identical to repeated scalar draws.
 
 Consequently ``B=1`` reproduces the scalar golden traces float-for-float,
@@ -56,18 +56,16 @@ from repro.des.simulator import Simulator
 from repro.san.compiled import (
     DURATION_BATCHED,
     DURATION_CONSTANT,
+    MAX_INSTANTANEOUS_CHAIN,
     CompiledActivity,
     CompiledSANModel,
     DurationSampler,
-    RowMarking,
-    compile_model,
-)
-from repro.san.executor import (
-    MAX_INSTANTANEOUS_CHAIN,
     ExecutionResult,
     MarkingPredicate,
+    RowMarking,
     SANExecutionError,
     _BatchedDurationSampler,
+    compile_model,
 )
 from repro.san.marking import Marking
 from repro.san.model import SANModel

@@ -15,6 +15,10 @@ is derived purely from the model's immutable shape, built once and cached
 on the model instance keyed by
 :attr:`~repro.san.model.SANModel.structure_version`.
 
+The module also holds what both executors share -- :class:`ExecutionResult`,
+:class:`SANExecutionError` and the pre-drawing duration sampler -- so the
+batched executor does not depend on the scalar reference executor.
+
 Ordering contracts
 ------------------
 The compiled tables preserve every ordering the scalar executor's golden
@@ -40,7 +44,18 @@ must keep the golden traces -- and therefore the determinism contract of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -58,6 +73,68 @@ DURATION_GENERIC = 2
 
 #: A duration sampler bound to one (row, activity) pair: marking -> delay.
 DurationSampler = Callable[[Marking], float]
+
+#: A stop predicate over a replication's marking.
+MarkingPredicate = Callable[[Marking], bool]
+
+#: Safety bound on consecutive instantaneous firings without time advancing,
+#: to catch accidentally-unstable (vanishing-marking) loops in models.
+MAX_INSTANTANEOUS_CHAIN = 1_000_000
+
+#: Durations pre-drawn per activity stream when the distribution supports
+#: batched sampling.  Small enough that mostly-idle activities waste little
+#: numpy work, large enough to amortise the per-call overhead.
+DURATION_BATCH = 16
+
+
+class SANExecutionError(RuntimeError):
+    """Raised when a model misbehaves during execution."""
+
+
+@dataclass
+class ExecutionResult:
+    """Outcome of one replication."""
+
+    end_time: float
+    stopped_by_predicate: bool
+    dead_marking: bool
+    completions: int
+    final_marking: Marking
+
+
+class _BatchedDurationSampler:
+    """Serves durations from pre-drawn batches of a fixed distribution.
+
+    Bit-identical to scalar draws: numpy ``Generator`` methods fill arrays
+    from the same bit stream that scalar calls consume, and the wrapped
+    stream is private to one activity's durations.
+    """
+
+    __slots__ = ("_dist", "_rng", "_name", "_values", "_next")
+
+    def __init__(self, dist: Any, rng: np.random.Generator, name: str) -> None:
+        # ``dist`` is duck-typed: the call site guards with supports_batch().
+        self._dist = dist
+        self._rng = rng
+        self._name = name
+        self._values = ()
+        self._next = 0
+
+    def __call__(self, marking: Marking) -> float:
+        position = self._next
+        values = self._values
+        if position >= len(values):
+            values = self._values = self._dist.sample_batch(
+                self._rng, DURATION_BATCH
+            )
+            position = 0
+        self._next = position + 1
+        value = float(values[position])
+        if value < 0:
+            raise ValueError(
+                f"activity {self._name!r}: sampled a negative duration {value}"
+            )
+        return value
 
 
 class CompiledCase:

@@ -1,175 +1,27 @@
-"""Process-wide execution policy for the SAN simulative solver.
+"""Executor labels of the SAN simulative solver.
 
-:meth:`SimulativeSolver.solve` takes ``strategy`` ("scalar" / "batched")
-and ``batch_size`` (a count or ``"auto"``) arguments, but most call
-sites -- experiment specs, model comparison scripts, the CLI -- sit
-several layers above the solver and should not have to thread executor
-knobs through every signature.  This module provides the bridge: an
-:class:`ExecutionPolicy` that can be *activated* for the process, and
-``resolve_*`` helpers the solver consults whenever a call site passes
-``None``.
-
-Resolution order (first hit wins):
-
-1. the explicit argument of the ``solve()`` call,
-2. the activated policy (transported via ``REPRO_SAN_STRATEGY`` /
-   ``REPRO_SAN_BATCH_SIZE`` environment variables),
-3. the defaults: ``"scalar"`` strategy, ``"auto"`` batch sizing.
-
-The environment is used as the store deliberately: worker processes of
-pooled sweeps inherit it, so a policy activated in the parent governs
-every replication wherever it runs.  The policy is **not** part of
-result identity -- replication seeds and named streams do not depend on
-it, both executors are bit-identical per replication, and batch size
-never changes results -- so it is excluded from experiment settings
-hashes and result-cache keys on purpose: flipping the strategy must hit
-the cache, not invalidate it.
+:meth:`SimulativeSolver.solve <repro.san.solver.SimulativeSolver.solve>`
+always runs lock-step batches sized by
+:func:`~repro.san.solver.auto_batch_size`; there is no executor policy to
+choose.  The batch size never changes results: every replication is
+bit-identical to its scalar reference run (the determinism contract of
+:mod:`repro.san.solver`).  These two functions report that fixed choice,
+for run reports that label which executor and batch size ran; their
+argument is ignored.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-__all__ = [
-    "AUTO_BATCH_SIZE",
-    "BATCH_SIZE_ENV",
-    "STRATEGIES",
-    "STRATEGY_ENV",
-    "ExecutionPolicy",
-    "activate",
-    "active_policy",
-    "parse_batch_size",
-    "parse_strategy",
-    "resolve_batch_size",
-    "resolve_strategy",
-]
-
-#: Environment variable naming the executor strategy for the process.
-STRATEGY_ENV = "REPRO_SAN_STRATEGY"
-#: Environment variable naming the lock-step batch size for the process.
-BATCH_SIZE_ENV = "REPRO_SAN_BATCH_SIZE"
-
-#: The recognised executor strategies.
-STRATEGIES = ("scalar", "batched")
-
-#: Sentinel batch size selecting the compiled-model-size heuristic
-#: (:func:`repro.san.solver.auto_batch_size`).
-AUTO_BATCH_SIZE = "auto"
-
-#: A resolved batch size: a positive replication count or ``"auto"``.
-BatchSize = Union[int, str]
-
-
-def parse_strategy(value: str, source: str = "strategy") -> str:
-    """Validate an executor strategy name.
-
-    ``source`` names the offending input in the error message (argument
-    name or environment variable).
-    """
-    if value not in STRATEGIES:
-        expected = " or ".join(repr(name) for name in STRATEGIES)
-        raise ValueError(f"unknown {source} {value!r}: expected {expected}")
-    return value
-
-
-def parse_batch_size(value: BatchSize, source: str = "batch_size") -> BatchSize:
-    """Validate a batch size: a positive ``int`` or the string ``"auto"``.
-
-    String digits are accepted (and converted) so environment variables
-    and CLI arguments share this single parser.
-    """
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == AUTO_BATCH_SIZE:
-            return AUTO_BATCH_SIZE
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(
-                f"invalid {source} {text!r}: expected a positive integer "
-                f"or {AUTO_BATCH_SIZE!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(
-            f"invalid {source} {value!r}: expected a positive integer "
-            f"or {AUTO_BATCH_SIZE!r}"
-        )
-    if value < 1:
-        raise ValueError(f"{source} must be >= 1, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """A (strategy, batch size) pair governing SAN solver calls.
-
-    ``None`` fields defer to the next layer of the resolution order --
-    a policy may pin the strategy while leaving batch sizing automatic.
-    """
-
-    strategy: Optional[str] = None
-    batch_size: Optional[BatchSize] = None
-
-    def __post_init__(self) -> None:
-        if self.strategy is not None:
-            parse_strategy(self.strategy)
-        if self.batch_size is not None:
-            object.__setattr__(
-                self, "batch_size", parse_batch_size(self.batch_size)
-            )
-
-
-def activate(policy: ExecutionPolicy) -> None:
-    """Install ``policy`` as the process default (and for child workers).
-
-    ``None`` fields clear any previously activated value, so activating
-    ``ExecutionPolicy()`` restores the built-in defaults.
-    """
-    if policy.strategy is None:
-        os.environ.pop(STRATEGY_ENV, None)
-    else:
-        os.environ[STRATEGY_ENV] = policy.strategy
-    if policy.batch_size is None:
-        os.environ.pop(BATCH_SIZE_ENV, None)
-    else:
-        os.environ[BATCH_SIZE_ENV] = str(policy.batch_size)
-
-
-def active_policy() -> ExecutionPolicy:
-    """The currently activated policy (fields ``None`` when unset)."""
-    strategy = os.environ.get(STRATEGY_ENV)
-    if strategy is not None:
-        strategy = parse_strategy(strategy, source=STRATEGY_ENV)
-    batch_size: Optional[BatchSize] = os.environ.get(BATCH_SIZE_ENV)
-    if batch_size is not None:
-        batch_size = parse_batch_size(batch_size, source=BATCH_SIZE_ENV)
-    return ExecutionPolicy(strategy=strategy, batch_size=batch_size)
+__all__ = ["resolve_batch_size", "resolve_strategy"]
 
 
 def resolve_strategy(explicit: Optional[str] = None) -> str:
-    """The strategy a solver call should use.
-
-    Explicit argument beats the activated policy beats ``"scalar"``.
-    """
-    if explicit is not None:
-        return parse_strategy(explicit)
-    policy = active_policy()
-    if policy.strategy is not None:
-        return policy.strategy
-    return STRATEGIES[0]
+    """The executor every ``solve()`` runs: ``"batched"``."""
+    return "batched"
 
 
-def resolve_batch_size(explicit: Optional[BatchSize] = None) -> BatchSize:
-    """The batch size a batched solver call should use.
-
-    Explicit argument beats the activated policy beats ``"auto"`` (the
-    compiled-model-size heuristic).
-    """
-    if explicit is not None:
-        return parse_batch_size(explicit)
-    policy = active_policy()
-    if policy.batch_size is not None:
-        return policy.batch_size
-    return AUTO_BATCH_SIZE
+def resolve_batch_size(explicit: Optional[str] = None) -> str:
+    """The batch sizing every ``solve()`` uses: ``"auto"``."""
+    return "auto"

@@ -5,6 +5,12 @@ it tracks the current marking, keeps enabled timed activities scheduled on a
 :class:`~repro.des.simulator.Simulator`, fires instantaneous activities as
 soon as they are enabled and notifies reward variables of every completion.
 
+It is the scalar *reference* for the production lock-step executor
+(:mod:`repro.san.batched`): :meth:`SimulativeSolver.run_replication
+<repro.san.solver.SimulativeSolver.run_replication>` runs it one
+replication at a time, and tests and the ``solvercompare`` experiment
+hold batched results to it bit for bit.
+
 Execution semantics
 -------------------
 * An activity is *enabled* when all its input arcs are satisfied and all its
@@ -53,44 +59,22 @@ tests hold the two implementations to identical behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.des.event import Event, EventState
 from repro.des.simulator import Simulator
 from repro.san.activities import Activity, InstantaneousActivity, TimedActivity
+from repro.san.compiled import (
+    MAX_INSTANTANEOUS_CHAIN,
+    ExecutionResult,
+    MarkingPredicate,
+    SANExecutionError,
+    _BatchedDurationSampler,
+)
 from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.rewards import RewardVariable
 from repro.stats.distributions import Constant, supports_batch
-
-MarkingPredicate = Callable[[Marking], bool]
-
-#: Safety bound on consecutive instantaneous firings without time advancing,
-#: to catch accidentally-unstable (vanishing-marking) loops in models.
-MAX_INSTANTANEOUS_CHAIN = 1_000_000
-
-#: Durations pre-drawn per activity stream when the distribution supports
-#: batched sampling.  Small enough that mostly-idle activities waste little
-#: numpy work, large enough to amortise the per-call overhead.
-DURATION_BATCH = 16
-
-
-class SANExecutionError(RuntimeError):
-    """Raised when a model misbehaves during execution."""
-
-
-@dataclass
-class ExecutionResult:
-    """Outcome of one replication."""
-
-    end_time: float
-    stopped_by_predicate: bool
-    dead_marking: bool
-    completions: int
-    final_marking: Marking
 
 
 class _ModelStructure:
@@ -168,41 +152,6 @@ def _structure_for(model: SANModel) -> _ModelStructure:
     structure = _ModelStructure(model)
     model._executor_structure = structure  # type: ignore[attr-defined]
     return structure
-
-
-class _BatchedDurationSampler:
-    """Serves durations from pre-drawn batches of a fixed distribution.
-
-    Bit-identical to scalar draws: numpy ``Generator`` methods fill arrays
-    from the same bit stream that scalar calls consume, and the wrapped
-    stream is private to one activity's durations.
-    """
-
-    __slots__ = ("_dist", "_rng", "_name", "_values", "_next")
-
-    def __init__(self, dist: Any, rng: np.random.Generator, name: str) -> None:
-        # ``dist`` is duck-typed: the call site guards with supports_batch().
-        self._dist = dist
-        self._rng = rng
-        self._name = name
-        self._values = ()
-        self._next = 0
-
-    def __call__(self, marking: Marking) -> float:
-        position = self._next
-        values = self._values
-        if position >= len(values):
-            values = self._values = self._dist.sample_batch(
-                self._rng, DURATION_BATCH
-            )
-            position = 0
-        self._next = position + 1
-        value = float(values[position])
-        if value < 0:
-            raise ValueError(
-                f"activity {self._name!r}: sampled a negative duration {value}"
-            )
-        return value
 
 
 class SANExecutor:

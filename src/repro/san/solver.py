@@ -12,13 +12,16 @@ Determinism contract
 Every replication is a pure function of ``(seed, replication index)``:
 replication seeds come from :meth:`SimulativeSolver.point_seed`, and all
 randomness inside a replication flows through the simulator's *named*
-random streams, whose draw order is fixed by the model structure.  Any
-executor (scalar :class:`~repro.san.executor.SANExecutor`, lock-step
-:class:`~repro.san.batched.BatchedSANExecutor`) must preserve that
-per-replication stream/draw order -- the strategy knob changes
-throughput, never results.  Observers attached through the
-reward-variable protocol (including the opt-in activity trace) must not
-draw from any stream.
+random streams, whose draw order is fixed by the model structure.
+:meth:`SimulativeSolver.solve` always runs the lock-step
+:class:`~repro.san.batched.BatchedSANExecutor` in batches sized by
+:func:`auto_batch_size`; :meth:`SimulativeSolver.run_replication` runs
+one replication through the scalar reference executor
+(:class:`~repro.san.executor.SANExecutor` by default).  Both preserve the
+per-replication stream/draw order, so replication ``i`` is bit-identical
+either way and the batch size never changes results.  Observers attached
+through the reward-variable protocol (including the opt-in activity
+trace) must not draw from any stream.
 """
 
 from __future__ import annotations
@@ -35,16 +38,14 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Union,
 )
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 from repro.des.simulator import Simulator
-from repro.san import execution
 from repro.san.batched import BatchedSANExecutor
-from repro.san.compiled import DURATION_GENERIC, compile_model
+from repro.san.compiled import DURATION_GENERIC, MarkingPredicate, compile_model
 from repro.san.executor import SANExecutor
 from repro.san.marking import Marking
 from repro.san.model import SANModel
@@ -54,7 +55,6 @@ from repro.stats.descriptive import ConfidenceInterval, confidence_interval
 
 ModelFactory = Callable[[], SANModel]
 RewardFactory = Callable[[], Sequence[RewardVariable]]
-MarkingPredicate = Callable[[Marking], bool]
 
 #: Cell budget of :func:`auto_batch_size`.  The lock-step executor's
 #: per-round working set is roughly ``batch x (places + activities)``
@@ -74,10 +74,10 @@ MAX_AUTO_BATCH_SIZE = 1_024
 def auto_batch_size(model: SANModel) -> int:
     """Replications per lock-step batch, from the compiled model's size.
 
-    This is the resolution of ``batch_size="auto"``: a pure function of
-    the model *structure* (places x activities, duration-kind mix), so
-    the chosen size -- like any explicit size -- never changes results,
-    only throughput.  Small models get wide batches (more rows amortise
+    :meth:`SimulativeSolver.solve` sizes every batch with it.  It is a
+    pure function of the model *structure* (places x activities,
+    duration-kind mix), and the batch size never changes results, only
+    throughput.  Small models get wide batches (more rows amortise
     each vectorised round), large models get narrower ones (each row
     already carries many matrix cells per round).  Models dominated by
     generic-duration activities are halved: their draws happen per
@@ -111,8 +111,9 @@ class _ActivityTraceRecorder(RewardVariable):
 
     Riding the executor's reward-notification protocol keeps tracing out
     of the execution hot path entirely: the recorder draws nothing and
-    observes the same completion stream on any executor, so attaching it
-    cannot perturb results.
+    observes the same completion stream on either executor (one recorder
+    per replication, or per batch row), so attaching it cannot perturb
+    results.
     """
 
     name = "_activity_trace"
@@ -226,10 +227,13 @@ class SimulativeSolver:
     Parameters
     ----------
     model_factory:
-        Callable building a fresh model for each replication.  (Models are
-        cheap to build and rebuilding avoids any state leakage between
-        replications; a prebuilt model may also be passed via a lambda if it
-        is genuinely stateless.)
+        Callable building the model.  :meth:`solve` executes every
+        replication of a lock-step batch against **one shared model
+        instance** (built once per batch, or once per process with
+        ``reuse_model``), so the factory must build *stateless* models:
+        no mutable state captured in gate closures or marking-dependent
+        distributions.  Every builder in :mod:`repro.sanmodels`
+        qualifies.  :meth:`run_replication` builds one per replication.
     reward_factory:
         Callable building fresh reward variables for each replication.
     stop_predicate:
@@ -243,32 +247,29 @@ class SimulativeSolver:
         it, so results are reproducible and replications are independent.
     confidence:
         Confidence level for the reported intervals (paper: 0.90).
-    batched_executor_class:
-        The executor used by ``solve(..., strategy="batched")``: a class
-        with :class:`~repro.san.batched.BatchedSANExecutor`'s ``for_batch``
-        / ``run_batch`` interface, swappable like ``executor_class``.
     reuse_model:
-        Build the model once (per process) and execute every replication
-        against the same instance instead of calling ``model_factory`` per
-        replication.  The executor never mutates the model (it copies the
-        initial marking and keeps all run state on itself), so this is
-        bit-identical for any factory whose models are *stateless*: no
-        mutable state captured in gate closures or marking-dependent
-        distributions.  Every builder in :mod:`repro.sanmodels` qualifies,
-        and for the generated consensus models the build is a large share
-        of a replication's cost.  Leave ``False`` for factories with
-        stateful gates.  The cached model never crosses process boundaries
-        (it is dropped on pickling), so ``jobs > 1`` still works with
-        factories whose *models* are unpicklable.
+        Build the model once (per process) and execute every batch and
+        replication against the same instance instead of calling
+        ``model_factory`` per batch or replication.  The executors never
+        mutate the model (they copy the initial marking and keep all run
+        state on themselves), so this is bit-identical for stateless
+        factories, and for the generated consensus models the build is a
+        large share of a replication's cost.  The cached model never
+        crosses process boundaries (it is dropped on pickling), so
+        ``jobs > 1`` still works with factories whose *models* are
+        unpicklable.
+    executor_class:
+        The scalar executor :meth:`run_replication` runs: the reference
+        :class:`~repro.san.executor.SANExecutor` by default, or
+        :class:`~repro.san.reference.ReferenceExecutor` for the
+        unoptimised oracle.  :meth:`solve` never uses it.
     collect_traces:
         Record every activity completion of every replication on
-        :attr:`ReplicationResult.trace`.  Tracing observes the reward
-        notification stream only -- it consumes no randomness -- so the
-        reward values stay bit-identical with tracing on or off.  The
-        lock-step batched executor does not emit per-replication traces,
-        so a tracing solver **falls back to the scalar strategy**
-        (``solve(strategy="batched")`` and :meth:`run_batch` both run
-        scalar, seed-per-seed identical as always).
+        :attr:`ReplicationResult.trace`, on both :meth:`solve` (one
+        recorder per batch row) and :meth:`run_replication`.  Tracing
+        observes the reward notification stream only -- it consumes no
+        randomness -- so the reward values stay bit-identical with
+        tracing on or off.
     """
 
     def __init__(
@@ -282,7 +283,6 @@ class SimulativeSolver:
         initial_marking_factory: Optional[Callable[[SANModel], Marking]] = None,
         reuse_model: bool = False,
         executor_class: type = SANExecutor,
-        batched_executor_class: Optional[type] = None,
         collect_traces: bool = False,
     ) -> None:
         self.model_factory = model_factory
@@ -293,12 +293,7 @@ class SimulativeSolver:
         self.confidence = confidence
         self.initial_marking_factory = initial_marking_factory
         self.reuse_model = reuse_model
-        #: The executor implementation (swappable so tests and benchmarks
-        #: can run the reference executor through the same solver).
         self.executor_class = executor_class
-        if batched_executor_class is None:
-            batched_executor_class = BatchedSANExecutor
-        self.batched_executor_class = batched_executor_class
         self.collect_traces = collect_traces
         self._cached_model: Optional[SANModel] = None
 
@@ -311,7 +306,7 @@ class SimulativeSolver:
 
     # ------------------------------------------------------------------
     def _model(self) -> SANModel:
-        """A model for the next replication (cached when ``reuse_model``)."""
+        """A model for the next replication or batch (cached when ``reuse_model``)."""
         if not self.reuse_model:
             return self.model_factory()
         if self._cached_model is None:
@@ -319,11 +314,12 @@ class SimulativeSolver:
         return self._cached_model
 
     def run_replication(self, index: int) -> ReplicationResult:
-        """Run a single replication with its own derived seed."""
-        return self._run_with_seed(index, self._replication_seed(index))
+        """Run one replication through ``executor_class``.
 
-    def _run_with_seed(self, index: int, seed: int) -> ReplicationResult:
-        sim = Simulator(seed=seed)
+        The scalar reference: bit-identical to replication ``index`` of
+        :meth:`solve` and :meth:`run_batch`.
+        """
+        sim = Simulator(seed=self._replication_seed(index))
         model = self._model()
         rewards = list(self.reward_factory())
         recorder = _ActivityTraceRecorder() if self.collect_traces else None
@@ -354,10 +350,13 @@ class SimulativeSolver:
         max_replications: int = 10_000,
         jobs: Optional[int] = 1,
         precision_batch: int = 10,
-        strategy: Optional[str] = None,
-        batch_size: Optional[Union[int, str]] = None,
     ) -> SolverResult:
-        """Run replications and aggregate the rewards.
+        """Run replications in lock-step batches and aggregate the rewards.
+
+        Replications run :func:`auto_batch_size` at a time through
+        :meth:`run_batch`.  Each batch shares one model instance (see
+        ``model_factory``).  Every replication keeps its own derived seed,
+        so the results equal a :meth:`run_replication` loop bit for bit.
 
         Parameters
         ----------
@@ -384,44 +383,14 @@ class SimulativeSolver:
             Replications per precision-loop chunk.  The stopping rule is
             evaluated at chunk boundaries only, so the replication count is
             a function of the seed and this value, never of ``jobs``.
-        strategy:
-            ``"scalar"`` loops replications through ``executor_class``;
-            ``"batched"`` hands whole chunks of the replication plan to
-            ``batched_executor_class``, which advances them lock-step.
-            ``None`` (default) defers to the process execution policy
-            (:mod:`repro.san.execution`: the ``REPRO_SAN_STRATEGY``
-            environment variable, else ``"scalar"``).  Replication ``i``
-            uses the same derived seed and named streams under both
-            strategies, so the results are bit-identical -- the strategy
-            only changes throughput.
-        batch_size:
-            Replications per lock-step batch under ``strategy="batched"``:
-            a positive count or ``"auto"`` for the compiled-model-size
-            heuristic (:func:`auto_batch_size`).  ``None`` (default)
-            defers to the process execution policy (``REPRO_SAN_BATCH_SIZE``,
-            else ``"auto"``).  Like ``jobs``, the value never changes
-            results.
         """
-        strategy = execution.resolve_strategy(strategy)
-        batch_size = execution.resolve_batch_size(batch_size)
-        if self.collect_traces and strategy == "batched":
-            # The lock-step executor has no per-replication completion
-            # stream; tracing solvers fall back to the (bit-identical)
-            # scalar strategy -- documented on ``collect_traces``.
-            strategy = "scalar"
-        if strategy == "batched" and batch_size == execution.AUTO_BATCH_SIZE:
-            # Resolve the heuristic once per solve (not per precision-loop
-            # chunk): it compiles a model to measure the structure.
-            batch_size = auto_batch_size(self._model())
+        # Sized once per solve (not per precision-loop chunk): it compiles
+        # a model to measure the structure.
+        batch_size = auto_batch_size(self._model())
         result = SolverResult(confidence=self.confidence)
         if target_reward is None or relative_precision is None:
             result.replications.extend(
-                self._run_indices(
-                    range(replications),
-                    jobs,
-                    strategy=strategy,
-                    batch_size=batch_size,
-                )
+                self._run_indices(range(replications), jobs, batch_size)
             )
             return result
 
@@ -440,11 +409,7 @@ class SimulativeSolver:
                 chunk = min(chunk, max_replications - index)
                 result.replications.extend(
                     self._run_indices(
-                        range(index, index + chunk),
-                        jobs,
-                        pool=pool,
-                        strategy=strategy,
-                        batch_size=batch_size,
+                        range(index, index + chunk), jobs, batch_size, pool=pool
                     )
                 )
                 index += chunk
@@ -500,66 +465,22 @@ class SimulativeSolver:
         self,
         indices: Iterable[int],
         jobs: Optional[int],
+        batch_size: int,
         pool: Optional[ProcessPoolExecutor] = None,
-        strategy: str = "scalar",
-        batch_size: Optional[Union[int, str]] = None,
     ) -> List[ReplicationResult]:
-        """Run the given replication indices, serially or on a worker pool.
-
-        The parallel path rides on the experiment sweep engine
-        (:class:`~repro.experiments.runner.ReplicationPlan`), inheriting
-        its ordered streaming aggregation; the per-replication seeds are
-        identical to the serial path's, so ``jobs`` never changes results.
-        Under ``strategy="batched"`` the plan's unit of work is a whole
-        batch of replications (one lock-step executor per batch) instead
-        of a single one -- per-replication seeds are unchanged, so the
-        strategy never changes results either.
-        """
-        indices = list(indices)
-        if strategy == "batched":
-            return self._run_indices_batched(indices, jobs, pool, batch_size)
-        if pool is None and (jobs == 1 or len(indices) <= 1):
-            return [self.run_replication(index) for index in indices]
-        # Imported lazily: repro.experiments pulls in modules that themselves
-        # import this one.
-        from repro.experiments.runner import ReplicationPlan, SweepPoint, iter_plan
-
-        points = tuple(
-            SweepPoint.make(
-                _replication_job,
-                kwargs={"solver": self, "index": index},
-                indices=(index,),
-                label=f"replication {index}",
-            )
-            for index in indices
-        )
-        plan = ReplicationPlan(
-            settings=_ReplicationSeeds(self.seed), points=points, name="san-solver"
-        )
-        return [
-            result for _point, result in iter_plan(plan, jobs=jobs, pool=pool)
-        ]
-
-    def _run_indices_batched(
-        self,
-        indices: List[int],
-        jobs: Optional[int],
-        pool: Optional[ProcessPoolExecutor] = None,
-        batch_size: Optional[Union[int, str]] = None,
-    ) -> List[ReplicationResult]:
-        """Run replication indices in lock-step batches.
+        """Run replication indices in lock-step batches of ``batch_size``.
 
         Each batch is one :meth:`run_batch` call; the serial path runs the
-        batches in-process, the parallel path makes each batch one sweep
-        point and hands workers whole *groups* of consecutive batches per
-        submission (amortising submission overhead while keeping cache
-        and timing bookkeeping batch-granular).  Results are aggregated
-        in replication order either way.
+        batches in-process, the parallel path rides on the experiment
+        sweep engine (:class:`~repro.experiments.runner.ReplicationPlan`)
+        with each batch one sweep point, and hands workers whole *groups*
+        of consecutive batches per submission (amortising submission
+        overhead while keeping cache and timing bookkeeping
+        batch-granular).  Per-replication seeds are identical either way
+        and results are aggregated in replication order, so neither
+        ``jobs`` nor the batch size changes results.
         """
-        if batch_size is None or batch_size == execution.AUTO_BATCH_SIZE:
-            batch_size = auto_batch_size(self._model())
-        if not isinstance(batch_size, int) or batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+        indices = list(indices)
         batches = [
             tuple(indices[start : start + batch_size])
             for start in range(0, len(indices), batch_size)
@@ -568,6 +489,8 @@ class SimulativeSolver:
             return [
                 result for batch in batches for result in self.run_batch(batch)
             ]
+        # Imported lazily: repro.experiments pulls in modules that themselves
+        # import this one.
         from repro.experiments.runner import (
             ReplicationPlan,
             SweepPoint,
@@ -608,24 +531,29 @@ class SimulativeSolver:
 
         Every replication keeps its own derived seed, named streams and
         reward variables, so each entry of the returned list is
-        bit-identical to :meth:`run_replication` of the same index.
-        Under ``collect_traces=True`` the batch falls back to scalar
-        per-replication runs (same seeds, same results, traces attached).
+        bit-identical to :meth:`run_replication` of the same index, its
+        trace included under ``collect_traces=True``.
         """
         indices = list(indices)
-        if self.collect_traces:
-            return [self.run_replication(index) for index in indices]
         model = self._model()
         rewards_rows = [list(self.reward_factory()) for _ in indices]
+        recorders = [
+            _ActivityTraceRecorder() if self.collect_traces else None
+            for _ in indices
+        ]
+        observers_rows = [
+            rewards if recorder is None else [*rewards, recorder]
+            for rewards, recorder in zip(rewards_rows, recorders, strict=True)
+        ]
         initial_markings = None
         if self.initial_marking_factory is not None:
             initial_markings = [
                 self.initial_marking_factory(model) for _ in indices
             ]
-        executor = self.batched_executor_class.for_batch(
+        executor = BatchedSANExecutor.for_batch(
             model,
             [self._replication_seed(index) for index in indices],
-            rewards_rows,
+            observers_rows,
             initial_markings=initial_markings,
         )
         outcomes = executor.run_batch(
@@ -637,9 +565,10 @@ class SimulativeSolver:
                 end_time=outcome.end_time,
                 stopped_by_predicate=outcome.stopped_by_predicate,
                 rewards={reward.name: reward.value() for reward in rewards},
+                trace=recorder.completions if recorder is not None else None,
             )
-            for index, outcome, rewards in zip(
-                indices, outcomes, rewards_rows, strict=True
+            for index, outcome, rewards, recorder in zip(
+                indices, outcomes, rewards_rows, recorders, strict=True
             )
         ]
 
@@ -652,8 +581,8 @@ class _ReplicationSeeds:
     """Seed derivation of :class:`SimulativeSolver` replications.
 
     The single definition of the derivation, satisfying the sweep engine's
-    settings interface (``point_seed``); both the serial and the pooled
-    path use it, so a replication's seed is a pure function of
+    settings interface (``point_seed``); the serial, pooled and reference
+    paths all use it, so a replication's seed is a pure function of
     (master seed, replication index) whatever the ``jobs`` value.
     """
 
@@ -662,13 +591,6 @@ class _ReplicationSeeds:
     def point_seed(self, *indices: int) -> int:
         (index,) = indices
         return (self.seed * 1_000_003 + index * 7_919 + 1) % (2**63)
-
-
-def _replication_job(
-    solver: SimulativeSolver, index: int, point_seed: int
-) -> ReplicationResult:
-    """Run one replication in a worker process (module-level, picklable)."""
-    return solver._run_with_seed(index, point_seed)
 
 
 def _batched_replication_job(

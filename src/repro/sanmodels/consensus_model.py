@@ -14,15 +14,15 @@ places (§3.2) -- the shared places here being the network token and the
 global decision counter.
 
 :class:`ConsensusSANExperiment` wraps the model in a
-:class:`~repro.san.solver.SimulativeSolver` replication loop and exposes the
-latency statistics the paper reports (mean with 90% confidence interval,
-empirical CDF).
+:class:`~repro.san.solver.SimulativeSolver`, which runs the replications
+lock-step in batches, and exposes the latency statistics the paper reports
+(mean with 90% confidence interval, empirical CDF).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.san.composition import join
 from repro.san.marking import Marking
@@ -252,19 +252,6 @@ class ConsensusSANExperiment:
         end at the first decision).
     confidence:
         Confidence level of the reported interval (the paper uses 0.90).
-    strategy:
-        Executor strategy of the simulative solver: ``"scalar"`` loops the
-        replications, ``"batched"`` advances them lock-step
-        (:class:`~repro.san.batched.BatchedSANExecutor`), ``None``
-        (default) defers to the process execution policy
-        (:mod:`repro.san.execution`).  Replication seeds and named
-        streams are identical under both, so the results are
-        bit-identical -- the strategy only changes throughput.
-    batch_size:
-        Replications per lock-step batch under the batched strategy: a
-        count, ``"auto"`` (sized from the compiled model), or ``None``
-        (default) to defer to the process execution policy.  Never
-        changes results.
     """
 
     def __init__(
@@ -276,8 +263,6 @@ class ConsensusSANExperiment:
         seed: int = 0,
         max_time_ms: float = 10_000.0,
         confidence: float = 0.90,
-        strategy: Optional[str] = None,
-        batch_size: Optional[Union[int, str]] = None,
     ) -> None:
         self.n_processes = n_processes
         self.parameters = parameters or SANParameters()
@@ -286,12 +271,14 @@ class ConsensusSANExperiment:
         self.seed = seed
         self.max_time_ms = max_time_ms
         self.confidence = confidence
-        self.strategy = strategy
-        self.batch_size = batch_size
 
     # ------------------------------------------------------------------
     def model_factory(self) -> SANModel:
-        """Build a fresh model instance (one per replication)."""
+        """Build a fresh model instance.
+
+        The generated consensus models are stateless, so one instance may
+        serve every replication of a batch (see :meth:`solver`).
+        """
         return build_consensus_model(
             self.n_processes,
             parameters=self.parameters,
@@ -325,8 +312,6 @@ class ConsensusSANExperiment:
         min_replications: int = 20,
         max_replications: int = 5_000,
         jobs: Optional[int] = 1,
-        strategy: Optional[str] = None,
-        batch_size: Optional[Union[int, str]] = None,
     ) -> SANLatencyResult:
         """Run the experiment and return latency statistics.
 
@@ -334,24 +319,11 @@ class ConsensusSANExperiment:
         confidence interval of the mean latency is that tight (relative to
         the mean) or ``max_replications`` is reached.  ``jobs > 1`` fans
         the replications out over worker processes with bit-identical
-        results (see :meth:`SimulativeSolver.solve`).  ``strategy`` and
-        ``batch_size`` override the experiment's configured values for
-        this run (``None`` falls back to the experiment's, then to the
-        process execution policy); like ``jobs``, they never change
-        results.
+        results (see :meth:`SimulativeSolver.solve`).
         """
         solver = self.solver()
-        if strategy is None:
-            strategy = self.strategy
-        if batch_size is None:
-            batch_size = self.batch_size
         if relative_precision is None:
-            result = solver.solve(
-                replications=replications,
-                jobs=jobs,
-                strategy=strategy,
-                batch_size=batch_size,
-            )
+            result = solver.solve(replications=replications, jobs=jobs)
         else:
             result = solver.solve(
                 replications=replications,
@@ -360,8 +332,6 @@ class ConsensusSANExperiment:
                 min_replications=min_replications,
                 max_replications=max_replications,
                 jobs=jobs,
-                strategy=strategy,
-                batch_size=batch_size,
             )
         latencies = result.values("latency")
         undecided = result.n - len(latencies)

@@ -4,8 +4,9 @@ The batched draw-order contract: every row of a batch is bit-identical
 to the scalar executor run with the same seed, at any batch size.  These
 tests pin that three ways -- the golden trace at ``B=1``, per-row
 equality with the scalar replication loop at ``B>1``, and end-to-end
-equality of ``solve(strategy="batched")`` with the scalar solver --
-plus the termination semantics (horizon, dead marking, initial stop).
+equality of ``solve()`` (always lock-step batches) with a scalar
+``run_replication`` reference loop -- plus the termination semantics
+(horizon, dead marking, initial stop).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.san import (
 from repro.san.executor import SANExecutionError
 from repro.san.solver import SimulativeSolver
 from repro.sanmodels import ConsensusSANExperiment
-from repro.stats.distributions import Constant, Exponential
+from repro.stats.distributions import Constant
 from tests.test_san_golden_trace import (
     GOLDEN_CONSENSUS_COMPLETIONS,
     GOLDEN_CONSENSUS_LATENCY,
@@ -104,49 +105,52 @@ def test_golden_batch_shares_no_state_across_rows():
 
 
 # ----------------------------------------------------------------------
-# Solver threading: strategy="batched" never changes results
+# Solver threading: solve() equals the scalar reference loop
 # ----------------------------------------------------------------------
+def _reference_loop(solver, replications):
+    """The scalar reference: one ``run_replication`` per index."""
+    return [solver.run_replication(index) for index in range(replications)]
+
+
 def test_solver_strategy_batched_matches_scalar_fixed_count():
     experiment = ConsensusSANExperiment(n_processes=3, seed=3)
-    scalar = experiment.solver().solve(replications=25)
-    batched = experiment.solver().solve(replications=25, strategy="batched")
-    assert [r.rewards for r in scalar.replications] == [
-        r.rewards for r in batched.replications
-    ]
-    assert [r.end_time for r in scalar.replications] == [
+    scalar = _reference_loop(experiment.solver(), 25)
+    batched = experiment.solver().solve(replications=25)
+    assert [r.rewards for r in scalar] == [r.rewards for r in batched.replications]
+    assert [r.end_time for r in scalar] == [
         r.end_time for r in batched.replications
     ]
 
 
 def test_solver_batch_size_never_changes_results():
     experiment = ConsensusSANExperiment(n_processes=3, seed=3)
-    reference = experiment.solver().solve(replications=13, strategy="batched")
+    solver = experiment.solver()
+    reference = _reference_loop(solver, 64)
     for batch_size in (1, 4, 13, 64):
-        other = experiment.solver().solve(
-            replications=13, strategy="batched", batch_size=batch_size
-        )
-        assert [r.rewards for r in other.replications] == [
-            r.rewards for r in reference.replications
+        rows = [
+            row
+            for start in range(0, 64, batch_size)
+            for row in solver.run_batch(range(start, min(start + batch_size, 64)))
+        ]
+        assert [r.rewards for r in rows] == [
+            r.rewards for r in reference
         ], batch_size
 
 
 def test_solver_batch_size_auto_and_jobs_never_change_results():
-    # The acceptance matrix of the adaptive-batching PR: "auto" sizing and
-    # pooled execution (several batches per worker group) both reproduce
-    # the serial scalar results bit-for-bit.
-    experiment = ConsensusSANExperiment(n_processes=3, seed=3)
-    reference = experiment.solver().solve(replications=25)
-    for kwargs in (
-        {"batch_size": "auto"},
-        {"batch_size": "auto", "jobs": 2},
-        {"batch_size": 4, "jobs": 2},  # 7 batches over 2 workers: grouped
-    ):
-        other = experiment.solver().solve(
-            replications=25, strategy="batched", **kwargs
-        )
+    # The grouped multi-batch pooled path: n=11 sizes batches at 32, so 70
+    # replications make 3 batches, handed to 2 workers in groups.
+    from repro.san.solver import auto_batch_size
+    from repro.sanmodels.consensus_model import build_consensus_model
+
+    assert auto_batch_size(build_consensus_model(11)) == 32
+    experiment = ConsensusSANExperiment(n_processes=11, seed=3)
+    reference = _reference_loop(experiment.solver(), 70)
+    for jobs in (1, 2):
+        other = experiment.solver().solve(replications=70, jobs=jobs)
         assert [r.rewards for r in other.replications] == [
-            r.rewards for r in reference.replications
-        ], kwargs
+            r.rewards for r in reference
+        ], jobs
 
 
 def test_auto_batch_size_is_structural():
@@ -169,45 +173,22 @@ def test_auto_batch_size_is_structural():
 
 def test_solver_precision_loop_matches_scalar_under_batched_strategy():
     experiment = ConsensusSANExperiment(n_processes=3, seed=5)
-
-    def solve(strategy):
-        return experiment.solver().solve(
-            target_reward="latency",
-            relative_precision=0.25,
-            min_replications=20,
-            max_replications=120,
-            strategy=strategy,
-        )
-
-    scalar = solve("scalar")
-    batched = solve("batched")
-    assert scalar.n == batched.n
-    assert scalar.precision_achieved == batched.precision_achieved
-    assert [r.rewards for r in scalar.replications] == [
-        r.rewards for r in batched.replications
-    ]
-
-
-def test_solver_rejects_unknown_strategy():
-    solver = ConsensusSANExperiment(n_processes=3).solver()
-    with pytest.raises(ValueError, match="unknown strategy"):
-        solver.solve(replications=1, strategy="vectorized")
-    with pytest.raises(ValueError, match="batch_size"):
-        solver.solve(replications=2, strategy="batched", batch_size=0)
-
-
-def test_experiment_run_accepts_strategy():
-    batched_experiment = ConsensusSANExperiment(
-        n_processes=3, seed=9, strategy="batched"
+    batched = experiment.solver().solve(
+        target_reward="latency",
+        relative_precision=0.25,
+        min_replications=20,
+        max_replications=120,
     )
-    scalar_experiment = ConsensusSANExperiment(n_processes=3, seed=9)
-    batched = batched_experiment.run(replications=15)
-    scalar = scalar_experiment.run(replications=15)
-    assert batched.latencies_ms == scalar.latencies_ms
-    assert batched.mean_ms == scalar.mean_ms
-    # Per-call override beats the configured strategy.
-    overridden = scalar_experiment.run(replications=15, strategy="batched")
-    assert overridden.latencies_ms == scalar.latencies_ms
+    assert batched.precision_achieved
+    scalar = _reference_loop(experiment.solver(), batched.n)
+    assert [r.rewards for r in scalar] == [r.rewards for r in batched.replications]
+
+
+def test_experiment_run_matches_the_reference_loop():
+    experiment = ConsensusSANExperiment(n_processes=3, seed=9)
+    batched = experiment.run(replications=15)
+    scalar = _reference_loop(experiment.solver(), 15)
+    assert batched.latencies_ms == [r.rewards["latency"] for r in scalar]
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +214,7 @@ def test_batched_means_bracket_the_analytic_value_on_fd_pair():
         seed=42,
         confidence=0.95,
         reuse_model=True,
-    ).solve(replications=60, strategy="batched")
+    ).solve(replications=60)
     for reward_name in spec.reward_names:
         interval = sampled.interval(reward_name)
         assert interval.contains(exact.mean(reward_name)), reward_name

@@ -18,10 +18,10 @@ The validation suite spans the three layers of the paper's model stack
 from __future__ import annotations
 
 import math
-import time
 
 import pytest
 
+from repro.benchmarking import best_of
 from repro.experiments.solver_compare import (
     COMPARE_MODELS,
     CompareModelSpec,
@@ -35,19 +35,18 @@ CROSS_VALIDATION_REPLICATIONS = 1_000
 SPEEDUP_FLOOR = 10.0
 
 
-def _solve_both(spec: CompareModelSpec, replications: int, seed: int):
-    analytic = AnalyticSolver(
+def _analytic(spec: CompareModelSpec) -> AnalyticSolver:
+    return AnalyticSolver(
         model_factory=spec.model_factory,
         reward_factory=spec.reward_factory,
         stop_predicate=spec.stop_predicate,
         max_time=spec.max_time,
         confidence=0.95,
     )
-    started = time.perf_counter()
-    exact = analytic.solve()
-    analytic_seconds = time.perf_counter() - started
 
-    simulative = SimulativeSolver(
+
+def _simulative(spec: CompareModelSpec, seed: int) -> SimulativeSolver:
+    return SimulativeSolver(
         model_factory=spec.model_factory,
         reward_factory=spec.reward_factory,
         stop_predicate=spec.stop_predicate,
@@ -55,17 +54,17 @@ def _solve_both(spec: CompareModelSpec, replications: int, seed: int):
         seed=seed,
         confidence=0.95,
     )
-    started = time.perf_counter()
-    sampled = simulative.solve(replications=replications)
-    simulative_seconds = time.perf_counter() - started
-    return exact, sampled, analytic_seconds, simulative_seconds
+
+
+def _solve_both(spec: CompareModelSpec, replications: int, seed: int):
+    exact = _analytic(spec).solve()
+    sampled = _simulative(spec, seed).solve(replications=replications)
+    return exact, sampled
 
 
 @pytest.mark.parametrize("spec", COMPARE_MODELS, ids=lambda spec: spec.key)
 def test_analytic_agrees_with_simulative_within_95_ci_and_is_10x_faster(spec):
-    exact, sampled, analytic_seconds, simulative_seconds = _solve_both(
-        spec, CROSS_VALIDATION_REPLICATIONS, seed=5
-    )
+    exact, sampled = _solve_both(spec, CROSS_VALIDATION_REPLICATIONS, seed=5)
     for reward_name in spec.reward_names:
         value = exact.mean(reward_name)
         interval = sampled.interval(reward_name)
@@ -74,6 +73,15 @@ def test_analytic_agrees_with_simulative_within_95_ci_and_is_10x_faster(spec):
             f"{spec.key}/{reward_name}: exact {value:.6g} outside the "
             f"simulative 95% CI {interval}"
         )
+    # The solves above warmed both legs (imports, model builds, compiled
+    # tables).  Each timed attempt uses a fresh solver, because the
+    # analytic solver caches its state space on the instance.
+    _, analytic_seconds = best_of(lambda: _analytic(spec).solve())
+    _, simulative_seconds = best_of(
+        lambda: _simulative(spec, seed=5).solve(
+            replications=CROSS_VALIDATION_REPLICATIONS
+        )
+    )
     speedup = simulative_seconds / analytic_seconds
     assert speedup >= SPEEDUP_FLOOR, (
         f"{spec.key}: analytic solution only {speedup:.1f}x faster than "

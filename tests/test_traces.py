@@ -341,10 +341,11 @@ def test_san_solver_traces_are_opt_in_and_reward_identical():
     assert times[-1] == pytest.approx(traced.end_time)
 
 
-def test_san_solver_tracing_falls_back_from_batched_to_scalar():
-    scalar = _san_solver(True).solve(replications=4, strategy="scalar")
-    batched = _san_solver(True).solve(replications=4, strategy="batched")
-    for first, second in zip(scalar.replications, batched.replications, strict=True):
+def test_san_solver_traced_solve_matches_traced_reference_loop():
+    solver = _san_solver(True)
+    scalar = [solver.run_replication(index) for index in range(4)]
+    batched = _san_solver(True).solve(replications=4)
+    for first, second in zip(scalar, batched.replications, strict=True):
         assert first.rewards == second.rewards
         assert first.trace == second.trace
         assert first.trace is not None
