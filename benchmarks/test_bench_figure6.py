@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.benchmarking import run_once
-from repro.experiments.figure6 import format_figure6, run_figure6
+from repro.experiments.figure6 import SPEC, format_figure6
+from repro.experiments.registry import run_experiment
 
 
 def test_figure6_end_to_end_delay_cdfs(benchmark, settings):
-    result = run_once(benchmark, run_figure6, settings)
+    result = run_once(benchmark, run_experiment, SPEC, settings=settings).result
     print()
     print("=== Figure 6: end-to-end delay of unicast and broadcast messages ===")
     print(format_figure6(result))

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from repro.benchmarking import run_once
 from repro.experiments.figure7 import (
+    FIGURE7A_SPEC,
+    FIGURE7B_SPEC,
+    MEANS_SPEC,
     format_latency_means,
-    run_figure7a,
-    run_figure7b,
-    run_latency_means,
 )
+from repro.experiments.registry import run_experiment
 
 
 def test_figure7a_latency_cdfs_no_failures(benchmark, settings):
-    result = run_once(benchmark, run_figure7a, settings)
+    result = run_once(benchmark, run_experiment, FIGURE7A_SPEC, settings=settings).result
     print()
     print("=== Figure 7(a): latency CDFs, no failures, no suspicions ===")
     print("n    mean [ms]   median [ms]   p90 [ms]")
@@ -25,7 +26,7 @@ def test_figure7a_latency_cdfs_no_failures(benchmark, settings):
 
 
 def test_figure7b_t_send_calibration(benchmark, settings):
-    result = run_once(benchmark, run_figure7b, settings)
+    result = run_once(benchmark, run_experiment, FIGURE7B_SPEC, settings=settings).result
     print()
     print("=== Figure 7(b): simulated latency CDFs vs. t_send (calibration) ===")
     print(f"measured mean latency (n={result.n_processes}): "
@@ -41,7 +42,7 @@ def test_figure7b_t_send_calibration(benchmark, settings):
 
 
 def test_latency_means_measurement_vs_simulation(benchmark, settings):
-    result = run_once(benchmark, run_latency_means, settings)
+    result = run_once(benchmark, run_experiment, MEANS_SPEC, settings=settings).result
     print()
     print("=== §5.2 mean latencies: measurement vs. SAN simulation ===")
     print(format_latency_means(result))

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 
 from repro.benchmarking import run_once
-from repro.experiments.figure8 import format_figure8, run_figure8
+from repro.experiments.figure8 import SPEC, format_figure8
+from repro.experiments.registry import run_experiment
 
 
 def test_figure8_failure_detector_qos(benchmark, settings):
-    result = run_once(benchmark, run_figure8, settings)
+    result = run_once(benchmark, run_experiment, SPEC, settings=settings).result
     print()
     print("=== Figure 8: failure-detector QoS vs. timeout T (Th = 0.7 T) ===")
     print(format_figure8(result))

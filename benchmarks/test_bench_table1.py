@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.benchmarking import run_once
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.registry import run_experiment
+from repro.experiments.table1 import SPEC, format_table1
 
 
 def test_table1_crash_scenarios(benchmark, settings):
-    result = run_once(benchmark, run_table1, settings)
+    result = run_once(benchmark, run_experiment, SPEC, settings=settings).result
     print()
     print("=== Table 1: latency for the crash scenarios ===")
     print(format_table1(result))

@@ -23,19 +23,15 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.settings import ExperimentSettings
-from repro.experiments.trace_analysis import (
-    N_PROCESSES,
-    run_trace_analysis,
-)
+from repro.experiments.registry import ExperimentOptions, run_experiment
+from repro.experiments.trace_analysis import N_PROCESSES, SPEC
 from repro.traces import CRASH, build_hb_graph
 from repro.traces.diff import diff_logs
 
 
 def main() -> None:
     """Run the smoke-scale campaign and explain the worst replication."""
-    settings = ExperimentSettings.smoke()
-    result = run_trace_analysis(settings)
+    result = run_experiment(SPEC, ExperimentOptions(scale="smoke")).result
 
     print(f"traced replications: {len(result.replications)}")
     print()

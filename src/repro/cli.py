@@ -33,8 +33,11 @@ Every SAN-backed subcommand solves its models with the lock-step batched
 executor, batches sized from the compiled model; there is no executor
 option to set.
 
-The textual output mirrors the corresponding table or figure of the paper;
-the same generators back the benchmark suite in ``benchmarks/``.
+The textual output mirrors the corresponding table or figure of the paper.
+Every subcommand runs through
+:func:`repro.experiments.registry.run_experiment`, which is also the only
+library entry point for running an experiment; the benchmark suite in
+``benchmarks/`` times the same call.
 """
 
 from __future__ import annotations

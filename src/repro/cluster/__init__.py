@@ -19,8 +19,10 @@ behaviour of that environment:
 * A **Neko-like process/protocol-layer framework** on which the consensus
   algorithm and the heartbeat failure detector run unchanged
   (:mod:`repro.cluster.neko`).
-* **Message tracing** to measure end-to-end delays (Figure 6) and consensus
-  latencies (Figures 7, 9; Table 1).
+* **Timestamped messages**: the transport stamps every message with its
+  submission and delivery times, so the receiving layer reads its
+  end-to-end delay directly (Figure 6); send/deliver/drop events can also
+  be collected into a :class:`repro.traces.events.EventLog`.
 """
 
 from repro.cluster.cluster import Cluster
@@ -30,7 +32,6 @@ from repro.cluster.ethernet import EthernetHub
 from repro.cluster.host import Host
 from repro.cluster.message import BROADCAST, Message
 from repro.cluster.neko import NekoProcess, ProtocolLayer
-from repro.cluster.tracing import MessageTrace, TraceRecord
 from repro.cluster.transport import Transport
 
 __all__ = [
@@ -41,11 +42,9 @@ __all__ = [
     "Host",
     "HostClock",
     "Message",
-    "MessageTrace",
     "NekoProcess",
     "NetworkParameters",
     "ProtocolLayer",
     "SchedulerParameters",
-    "TraceRecord",
     "Transport",
 ]

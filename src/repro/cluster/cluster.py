@@ -16,7 +16,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.ethernet import EthernetHub
 from repro.cluster.host import Host
 from repro.cluster.neko import NekoProcess, ProtocolLayer
-from repro.cluster.tracing import MessageTrace
 from repro.cluster.transport import Transport
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultLoad
@@ -64,7 +63,6 @@ class Cluster:
     ) -> None:
         self.config = config
         self.sim = Simulator(seed=config.seed)
-        self.trace = MessageTrace()
         self.collector = collector
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(self.sim, fault_load) if fault_load else None
@@ -80,7 +78,7 @@ class Cluster:
             ),
         )
         self.transport = Transport(
-            self.sim, config, self.hosts, self.hub, trace=self.trace,
+            self.sim, config, self.hosts, self.hub,
             injector=self.fault_injector, collector=collector,
         )
         self.processes: List[NekoProcess] = []

@@ -33,7 +33,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.ethernet import EthernetHub
 from repro.cluster.host import Host
 from repro.cluster.message import Message
-from repro.cluster.tracing import MessageTrace
 from repro.faults.injector import FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -60,8 +59,6 @@ class Transport:
         The cluster's hosts, indexed by process id.
     hub:
         The shared Ethernet segment.
-    trace:
-        Optional message trace receiving every delivery.
     injector:
         Optional fault injector consulted once per unicast copy entering
         the wire (loss, duplication, partitions) and once per message in
@@ -87,7 +84,6 @@ class Transport:
         config: ClusterConfig,
         hosts: Sequence[Host],
         hub: EthernetHub,
-        trace: Optional[MessageTrace] = None,
         injector: Optional[FaultInjector] = None,
         collector: Optional["TraceCollector"] = None,
     ) -> None:
@@ -95,7 +91,6 @@ class Transport:
         self.config = config
         self.hosts = list(hosts)
         self.hub = hub
-        self.trace = trace
         self.injector = injector
         self.collector = collector
         self._receivers: Dict[int, DeliverCallback] = {}
@@ -196,8 +191,6 @@ class Transport:
             return
         message.delivered_at = self.sim.now
         self.messages_delivered += 1
-        if self.trace is not None:
-            self.trace.record_delivery(message)
         if self.collector is not None:
             self.collector.on_deliver(message, self.sim.now)
         receiver = self._receivers.get(message.destination)

@@ -76,7 +76,7 @@ def score_t_send_candidates(
     The common second half of the calibration: given the measured latencies
     and, per candidate ``t_send``, the simulated latencies (however they
     were produced -- serially here, or by the sweep runner in
-    :func:`repro.experiments.figure7.run_figure7b`), compute each
+    :func:`repro.experiments.figure7.run_figure7b_in`), compute each
     candidate's Kolmogorov-Smirnov distance and pick the best.
     """
     if not measured_latencies:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
@@ -375,13 +375,22 @@ class _PingLayer(ProtocolLayer):
     """Application layer of the end-to-end delay micro-benchmark.
 
     Process 0 periodically sends a unicast message to a chosen destination
-    or a broadcast to everybody; the receivers simply absorb the messages.
-    The end-to-end delays are read from the cluster's message trace.
+    or a broadcast to everybody.  Every receiver appends
+    ``(msg_type, parent_id, end_to_end_delay)`` of each delivered probe to
+    ``deliveries``, a list shared by all the cluster's ping layers, so the
+    list holds the whole cluster's deliveries in delivery order.
     """
 
-    def __init__(self, sim, name: str, size_bytes: int) -> None:
+    def __init__(
+        self,
+        sim,
+        name: str,
+        size_bytes: int,
+        deliveries: List[Tuple[str, Optional[int], float]],
+    ) -> None:
         super().__init__(sim, name)
         self.size_bytes = size_bytes
+        self.deliveries = deliveries
 
     def send_probe(self, destination: int, msg_type: str) -> None:
         """Send one probe message."""
@@ -395,8 +404,10 @@ class _PingLayer(ProtocolLayer):
         )
         self.send_down(message)
 
-    def on_deliver(self, message: Message) -> None:  # probes are absorbed
-        return
+    def on_deliver(self, message: Message) -> None:
+        self.deliveries.append(
+            (message.msg_type, message.parent_id, message.end_to_end_delay())
+        )
 
 
 @dataclass
@@ -427,11 +438,13 @@ def measure_end_to_end_delays(
     ``gap_ms`` so that the probes do not contend with each other.
     """
     cluster = Cluster(cluster_config)
+    deliveries: List[Tuple[str, Optional[int], float]] = []
 
     def stack_factory(sim, process_id: int) -> Sequence[ProtocolLayer]:
         return [
             _PingLayer(
-                sim, f"ping.p{process_id}", cluster_config.message_size_bytes
+                sim, f"ping.p{process_id}", cluster_config.message_size_bytes,
+                deliveries,
             )
         ]
 
@@ -449,8 +462,13 @@ def measure_end_to_end_delays(
     cluster.run(until=time + 10.0)
 
     result = EndToEndDelayResult()
-    result.unicast_delays = cluster.trace.unicast_delays(msg_type="unicast-probe")
-    result.broadcast_delays = cluster.trace.broadcast_delays_averaged(
-        msg_type="broadcast-probe"
-    )
+    # Each broadcast's copies are averaged over its destinations (Figure 6
+    # plots one value per broadcast), in first-delivery order.
+    by_broadcast: Dict[Optional[int], List[float]] = {}
+    for msg_type, parent_id, delay in deliveries:
+        if msg_type == "unicast-probe":
+            result.unicast_delays.append(delay)
+        else:
+            by_broadcast.setdefault(parent_id, []).append(delay)
+    result.broadcast_delays = [sum(d) / len(d) for d in by_broadcast.values()]
     return result

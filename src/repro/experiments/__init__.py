@@ -24,32 +24,27 @@ controlling its scale, so the same code serves quick benchmark runs and
 full paper-scale reproductions (set ``REPRO_EXPERIMENT_SCALE=full``).
 
 Each generator expresses its grid as a
-:class:`~repro.experiments.runner.ReplicationPlan` and executes it through
-:mod:`repro.experiments.runner`, so every sweep accepts ``jobs=`` (process
-parallelism; results are bit-for-bit independent of the worker count) and
-``cache_dir=`` (on-disk memoisation of per-point results).
-
-Every generator additionally self-registers an
+:class:`~repro.experiments.runner.ReplicationPlan` and self-registers an
 :class:`~repro.experiments.registry.ExperimentSpec` in
-:mod:`repro.experiments.registry`, which is how the CLI discovers its
-subcommands and how the structured artifact layer
-(:mod:`repro.experiments.artifacts`) emits JSON/CSV results and run
-manifests for each experiment.
+:mod:`repro.experiments.registry`.  :func:`run_experiment` is the one way
+to run an experiment: its :class:`ExperimentOptions` carry ``jobs``
+(process parallelism; results are bit-for-bit independent of the worker
+count) and ``cache_dir`` (on-disk memoisation of per-point results), and
+it returns the result together with its run manifest.  The CLI and the
+structured artifact layer (:mod:`repro.experiments.artifacts`) build on
+the same call.
 """
 
 from repro.experiments.artifacts import RunManifest, validate_artifact
-from repro.experiments.fault_sweep import FaultSweepResult, run_fault_sweep
-from repro.experiments.figure6 import Figure6Result, run_figure6
+from repro.experiments.fault_sweep import FaultSweepResult
+from repro.experiments.figure6 import Figure6Result
 from repro.experiments.figure7 import (
     Figure7aResult,
     Figure7bResult,
     LatencyMeansResult,
-    run_figure7a,
-    run_figure7b,
-    run_latency_means,
 )
-from repro.experiments.figure8 import Figure8Result, run_figure8
-from repro.experiments.figure9 import Figure9Result, run_figure9
+from repro.experiments.figure8 import Figure8Result
+from repro.experiments.figure9 import Figure9Result
 from repro.experiments.registry import (
     ExperimentContext,
     ExperimentOptions,
@@ -74,8 +69,8 @@ from repro.experiments.runner import (
     iter_plan,
 )
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.solver_compare import SolverCompareResult, run_solver_compare
-from repro.experiments.table1 import Table1Result, run_table1
+from repro.experiments.solver_compare import SolverCompareResult
+from repro.experiments.table1 import Table1Result
 
 __all__ = [
     "ExperimentContext",
@@ -103,13 +98,4 @@ __all__ = [
     "LatencyMeansResult",
     "SolverCompareResult",
     "Table1Result",
-    "run_fault_sweep",
-    "run_figure6",
-    "run_figure7a",
-    "run_figure7b",
-    "run_figure8",
-    "run_figure9",
-    "run_latency_means",
-    "run_solver_compare",
-    "run_table1",
 ]

@@ -10,8 +10,8 @@ pipeline, and -- for the pure-loss points of the simulated process counts
 model-vs-measurement comparison stays apples-to-apples.
 
 Like every other generator, the grid is a
-:class:`~repro.experiments.runner.ReplicationPlan`, so the sweep accepts
-``jobs=`` (process parallelism, bit-identical results) and ``cache_dir=``.
+:class:`~repro.experiments.runner.ReplicationPlan`, so the sweep runs with
+``--jobs`` (process parallelism, bit-identical results) and ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
 from repro.core.simulation import SimulationConfig, SimulationRunner
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 from repro.faults.spec import (
@@ -240,19 +240,6 @@ def aggregate_fault_sweep(
     for _point, point in pairs:
         result.points[(point.n_processes, point.load_kind, point.loss_rate)] = point
     return result
-
-
-def run_fault_sweep(
-    settings: ExperimentSettings | None = None,
-    loss_rates: Tuple[float, ...] = DEFAULT_LOSS_RATES,
-    load_kinds: Tuple[str, ...] = FAULT_LOAD_KINDS,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> FaultSweepResult:
-    """Run the fault sweep."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    plan = fault_sweep_plan(context.settings, loss_rates=loss_rates, load_kinds=load_kinds)
-    return aggregate_fault_sweep(context.settings, context.iter(plan))
 
 
 def format_fault_sweep(result: FaultSweepResult) -> str:

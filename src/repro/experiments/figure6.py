@@ -11,10 +11,10 @@ cluster and reports both the CDFs and the fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.measurement import EndToEndDelayResult, measure_end_to_end_delays
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 from repro.sanmodels.parameters import BimodalFit, SANParameters
@@ -105,39 +105,6 @@ def aggregate_figure6(
         broadcast_delays_by_n=broadcast_delays,
         unicast_fit=fit,
     )
-
-
-def run_figure6(
-    settings: ExperimentSettings | None = None,
-    broadcast_process_counts: Sequence[int] = (3, 5),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> Figure6Result:
-    """Run the Figure 6 micro-benchmark.
-
-    Parameters
-    ----------
-    settings:
-        Experiment scale (defaults to the environment-selected preset).
-    broadcast_process_counts:
-        Cluster sizes for which the broadcast delay is measured (the paper
-        uses 3 and 5).
-    jobs:
-        Worker processes for the sweep (1 = serial, 0/None = one per CPU).
-    cache_dir:
-        Optional on-disk result cache.
-    """
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    return run_figure6_in(context, broadcast_process_counts)
-
-
-def run_figure6_in(
-    context: ExperimentContext,
-    broadcast_process_counts: Sequence[int] = (3, 5),
-) -> Figure6Result:
-    """Context-based entry point (shared with composite experiments)."""
-    plan = figure6_plan(context.settings, broadcast_process_counts)
-    return aggregate_figure6(context.settings, context.iter(plan))
 
 
 def format_figure6(result: Figure6Result) -> str:

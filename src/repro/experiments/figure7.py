@@ -1,15 +1,18 @@
 """Figure 7 and the §5.2 mean latencies: runs with no failures, no suspicions.
 
-Three related generators:
+Three related experiments:
 
-* :func:`run_figure7a` -- the measured latency CDFs for n = 3, 5, 7, 9, 11
+* ``figure7a`` -- the measured latency CDFs for n = 3, 5, 7, 9, 11
   (5000 executions each in the paper);
-* :func:`run_figure7b` -- the calibration plot: simulated latency CDFs for a
+* ``figure7b`` -- the calibration plot: simulated latency CDFs for a
   sweep of ``t_send`` values (with the end-to-end delay held fixed) against
   the measured CDF for n = 5, from which the calibrated ``t_send`` is
   chosen;
-* :func:`run_latency_means` -- the mean latencies (measurement for every n,
-  SAN simulation for n = 3 and 5) quoted in the §5.2 text.
+* ``means`` -- the mean latencies (measurement for every n, SAN simulation
+  for n = 3 and 5) quoted in the §5.2 text.
+
+``figure7b`` and ``means`` are composite: they run the ``figure6`` (and,
+for ``means``, the ``figure7a``) spec in the same context first.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.core.calibration import CalibrationResult, score_t_send_candidates
 from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
 from repro.core.simulation import SimulationConfig, SimulationRunner
-from repro.experiments.figure6 import run_figure6_in
+from repro.experiments.figure6 import SPEC as FIGURE6_SPEC
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
@@ -113,22 +116,6 @@ def aggregate_figure7a(
     return Figure7aResult(latencies_by_n=latencies)
 
 
-def run_figure7a(
-    settings: ExperimentSettings | None = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> Figure7aResult:
-    """Measure the latency CDFs of Figure 7(a)."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    return run_figure7a_in(context)
-
-
-def run_figure7a_in(context: ExperimentContext) -> Figure7aResult:
-    """Context-based entry point (shared with the §5.2 means experiment)."""
-    plan = figure7a_plan(context.settings)
-    return aggregate_figure7a(context.settings, context.iter(plan))
-
-
 def format_figure7a(result: Figure7aResult) -> str:
     """Render Figure 7(a) as a per-n summary table."""
     lines = ["Figure 7(a): latency, no failures, no suspicions",
@@ -171,6 +158,10 @@ def figure7a_rows(result: Figure7aResult):
 # ----------------------------------------------------------------------
 # Figure 7(b): calibration of t_send
 # ----------------------------------------------------------------------
+#: The cluster size whose measured CDF calibrates ``t_send`` (the paper's n = 5).
+CALIBRATION_PROCESSES = 5
+
+
 @dataclass
 class Figure7bResult:
     """Calibration data: measured CDF vs. simulated CDFs per t_send."""
@@ -236,52 +227,21 @@ def figure7b_plan(
     return ReplicationPlan(settings=settings, points=points, name="figure7b")
 
 
-def run_figure7b(
-    settings: ExperimentSettings | None = None,
-    n_processes: int = 5,
-    measured_latencies: Optional[List[float]] = None,
-    parameters: Optional[SANParameters] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> Figure7bResult:
-    """Reproduce the Figure 7(b) calibration sweep.
-
-    ``measured_latencies`` and ``parameters`` may be supplied to reuse data
-    from a previous :func:`run_figure7a` / :func:`run_figure6` run; when
-    omitted, both are measured afresh.  The candidate simulations run once
-    through the sweep runner; the calibration (KS distance per candidate)
-    is computed from those simulated latencies directly.
-    """
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    return run_figure7b_in(
-        context,
-        n_processes=n_processes,
-        measured_latencies=measured_latencies,
-        parameters=parameters,
-    )
-
-
-def run_figure7b_in(
-    context: ExperimentContext,
-    n_processes: int = 5,
-    measured_latencies: Optional[List[float]] = None,
-    parameters: Optional[SANParameters] = None,
-) -> Figure7bResult:
-    """Context-based entry point of the Figure 7(b) calibration."""
+def run_figure7b_in(context: ExperimentContext) -> Figure7bResult:
+    """The Figure 7(b) calibration: measure, fit ``t_net``, sweep ``t_send``."""
     settings = context.settings
-    if measured_latencies is None:
-        measured_latencies = context.record(
-            f"figure7b measure n={n_processes}",
-            lambda: measure_latencies(
-                settings,
-                n_processes=n_processes,
-                scenario=Scenario.no_failures(),
-                executions=settings.executions,
-                point_seed=settings.point_seed(7, 2, n_processes),
-            ),
-        )
-    if parameters is None:
-        parameters = run_figure6_in(context).san_parameters()
+    n_processes = CALIBRATION_PROCESSES
+    measured_latencies = context.record(
+        f"figure7b measure n={n_processes}",
+        lambda: measure_latencies(
+            settings,
+            n_processes=n_processes,
+            scenario=Scenario.no_failures(),
+            executions=settings.executions,
+            point_seed=settings.point_seed(7, 2, n_processes),
+        ),
+    )
+    parameters = FIGURE6_SPEC.execute(context).san_parameters()
     plan = figure7b_plan(settings, n_processes, parameters)
     simulated: Dict[float, List[float]] = {}
     for point, latencies in context.iter(plan):
@@ -398,37 +358,11 @@ def latency_means_plan(
     return ReplicationPlan(settings=settings, points=points, name="latency-means")
 
 
-def run_latency_means(
-    settings: ExperimentSettings | None = None,
-    figure7a: Optional[Figure7aResult] = None,
-    parameters: Optional[SANParameters] = None,
-    calibrated_t_send_ms: Optional[float] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> LatencyMeansResult:
-    """Compute the §5.2 mean-latency comparison (measurement vs. SAN)."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    return run_latency_means_in(
-        context,
-        figure7a=figure7a,
-        parameters=parameters,
-        calibrated_t_send_ms=calibrated_t_send_ms,
-    )
-
-
-def run_latency_means_in(
-    context: ExperimentContext,
-    figure7a: Optional[Figure7aResult] = None,
-    parameters: Optional[SANParameters] = None,
-    calibrated_t_send_ms: Optional[float] = None,
-) -> LatencyMeansResult:
-    """Context-based entry point of the §5.2 means comparison."""
+def run_latency_means_in(context: ExperimentContext) -> LatencyMeansResult:
+    """The §5.2 means: Figure 7(a) measurements vs. SAN simulations."""
     settings = context.settings
-    figure7a = figure7a or run_figure7a_in(context)
-    if parameters is None:
-        parameters = run_figure6_in(context).san_parameters()
-    if calibrated_t_send_ms is not None:
-        parameters = parameters.with_t_send(calibrated_t_send_ms)
+    figure7a = FIGURE7A_SPEC.execute(context)
+    parameters = FIGURE6_SPEC.execute(context).san_parameters()
     result = LatencyMeansResult()
     for n, latencies in figure7a.latencies_by_n.items():
         result.measured[n] = confidence_interval(latencies)

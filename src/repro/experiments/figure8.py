@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings, scaled_timeouts
 from repro.failure_detectors.qos import QoSEstimate
@@ -148,17 +148,6 @@ def aggregate_figure8(
     for _point, point in pairs:
         result.points[(point.n_processes, point.timeout_ms)] = point
     return result
-
-
-def run_figure8(
-    settings: ExperimentSettings | None = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> Figure8Result:
-    """Run the Figure 8 QoS sweep."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    plan = figure8_plan(context.settings)
-    return aggregate_figure8(context.settings, context.iter(plan))
 
 
 def format_figure8(result: Figure8Result) -> str:

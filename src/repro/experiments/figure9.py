@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.scenarios import Scenario
 from repro.core.simulation import SimulationConfig, SimulationRunner
 from repro.experiments.figure8 import Figure8Point, Figure8Result, measure_class3_point
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings, scaled_timeouts
 from repro.sanmodels.fd_model import TransitionKind
@@ -126,6 +126,9 @@ def figure9_plan(
 ) -> ReplicationPlan:
     """The Figure 9 sweep: one point per (process count, timeout).
 
+    Passing a :class:`Figure8Result` reuses its per-point measurements (the
+    QoS estimation and the latency measurement come from the same runs, as
+    in the paper); otherwise each point runs its class-3 measurement afresh.
     The simulation seeds are derived at plan-build time with a stable index
     per FD kind (the previous code used ``hash(kind)``, which varies from
     run to run under hash randomisation and would have defeated caching).
@@ -174,26 +177,6 @@ def aggregate_figure9(
 def _default_figure9_plan(settings: ExperimentSettings) -> ReplicationPlan:
     """The registry's plan: default SAN parameters, fresh measurements."""
     return figure9_plan(settings, SANParameters())
-
-
-def run_figure9(
-    settings: ExperimentSettings | None = None,
-    figure8: Optional[Figure8Result] = None,
-    parameters: Optional[SANParameters] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> Figure9Result:
-    """Run the Figure 9 sweep (measurements, plus SAN simulations for the
-    process counts in ``settings.simulated_process_counts``).
-
-    Passing a :class:`Figure8Result` reuses its per-point measurements (the
-    QoS estimation and the latency measurement come from the same runs, as
-    in the paper); otherwise the class-3 measurements are run afresh.
-    """
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    parameters = parameters or SANParameters()
-    plan = figure9_plan(context.settings, parameters, figure8)
-    return aggregate_figure9(context.settings, context.iter(plan))
 
 
 def format_figure9(result: Figure9Result) -> str:

@@ -1,20 +1,24 @@
 """Declarative experiment registry: experiments as data, not copy-paste.
 
-Every figure and table of the paper used to be a hand-rolled
-``run_*``/``format_*`` pair hard-wired into the CLI.  This module turns
-each one into an :class:`ExperimentSpec` -- name, description, sweep
-construction, aggregation and renderers -- that **self-registers** on
-import, so the CLI (and any downstream tool) discovers experiments
-dynamically instead of naming them in code:
+Every figure and table of the paper is an :class:`ExperimentSpec` -- name,
+description, sweep construction, aggregation and renderers -- that
+**self-registers** on import, so the CLI (and any downstream tool)
+discovers experiments dynamically instead of naming them in code.
+:func:`run_experiment` is the one way to run an experiment; the CLI, the
+examples and the benchmarks all go through it::
+
+    from repro.experiments.registry import ExperimentOptions, get, run_experiment
+    run = run_experiment(get("figure8"), ExperimentOptions(scale="smoke", jobs=2))
+    print(run.text())
 
 * :class:`ExperimentSpec` -- the declarative description of one
   experiment.  Plan-shaped experiments supply ``build_plan`` +
   ``aggregate``; composite experiments (which chain sub-experiments, e.g.
-  the Figure 7(b) calibration) supply ``run`` instead.
+  the Figure 7(b) calibration) supply ``run`` instead and call
+  :meth:`ExperimentSpec.execute` on the specs they build on.
 * :class:`ExperimentContext` -- the shared execution context: resolved
   settings, worker count, result cache and the per-point timing trail that
-  feeds run manifests.  This is the single code path replacing the
-  per-module jobs/cache boilerplate.
+  feeds run manifests.
 * :class:`ExperimentOptions` -- CLI-level options (scale, seed, jobs,
   cache dir) with the one shared validation/resolution routine.
 * :func:`run_experiment` -- execute a spec and return the result *plus*
@@ -97,19 +101,6 @@ class ExperimentContext:
     cache: Optional[ResultCache] = None
     timings: List[PointTiming] = field(default_factory=list)
 
-    @staticmethod
-    def create(
-        settings: Optional[ExperimentSettings] = None,
-        jobs: Optional[int] = 1,
-        cache_dir: Optional[str] = None,
-    ) -> "ExperimentContext":
-        """Build a context, defaulting settings from the environment."""
-        return ExperimentContext(
-            settings=settings or ExperimentSettings.from_environment(),
-            jobs=jobs,
-            cache=ResultCache(cache_dir) if cache_dir else None,
-        )
-
     # ------------------------------------------------------------------
     def iter(self, plan: ReplicationPlan) -> Iterator[Tuple[SweepPoint, Any]]:
         """Execute a plan with this context's jobs/cache, recording timings."""
@@ -161,10 +152,6 @@ class ExperimentSpec:
     to_rows:
         Optional result -> ``(header, rows)`` tabular series; experiments
         providing it additionally emit CSV artifacts.
-    scales:
-        The scale names the experiment supports; empty (the default) means
-        every scale.  :func:`run_experiment` rejects runs at an unsupported
-        scale.
     """
 
     name: str
@@ -175,7 +162,6 @@ class ExperimentSpec:
     aggregate: Optional[Aggregate] = None
     run: Optional[Callable[[ExperimentContext], Any]] = None
     to_rows: Optional[Callable[[Any], Table]] = None
-    scales: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.run is None and (self.build_plan is None or self.aggregate is None):
@@ -185,17 +171,6 @@ class ExperimentSpec:
             )
 
     # ------------------------------------------------------------------
-    def build_points(self, settings: ExperimentSettings) -> List[SweepPoint]:
-        """The sweep points this experiment would execute under ``settings``.
-
-        Composite experiments (``run=`` without ``build_plan=``) construct
-        their plans mid-run from intermediate results, so they report no
-        points up front.
-        """
-        if self.build_plan is None:
-            return []
-        return list(self.build_plan(settings).points)
-
     def execute(self, context: ExperimentContext) -> Any:
         """Run the experiment in ``context`` and return its result object."""
         if self.run is not None:
@@ -314,8 +289,10 @@ class ExperimentOptions:
     ) -> ExperimentContext:
         """Validate and build the execution context."""
         self.validate()
-        return ExperimentContext.create(
-            settings or self.resolve_settings(), jobs=self.jobs, cache_dir=self.cache_dir
+        return ExperimentContext(
+            settings=settings or self.resolve_settings(),
+            jobs=self.jobs,
+            cache=ResultCache(self.cache_dir) if self.cache_dir else None,
         )
 
 
@@ -367,11 +344,6 @@ def run_experiment(
         scale = options.scale or settings.scale_name()
     else:
         scale = settings.scale_name()
-    if spec.scales and scale not in spec.scales:
-        raise ValueError(
-            f"experiment {spec.name!r} does not support scale {scale!r} "
-            f"(supported: {list(spec.scales)})"
-        )
     context = options.context(settings)
     started_at = utc_timestamp()
     started = time.perf_counter()  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results

@@ -27,8 +27,8 @@ The suite covers the three layers of the paper's model stack
 
 Like every other generator, the sweep is a
 :class:`~repro.experiments.runner.ReplicationPlan`: the expensive
-simulative solutions fan out over ``jobs`` workers with bit-identical
-results, and ``cache_dir`` memoises per-model results on disk.
+simulative solutions fan out over ``--jobs`` workers with bit-identical
+results, and ``--cache-dir`` memoises per-model results on disk.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.sanmodels.exponential import (
     exponential_unicast_burst_model,
 )
 from repro.sanmodels.fd_model import FDModelSettings, suspect_place
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 
@@ -359,17 +359,6 @@ def aggregate_solver_compare(
     for _point, point in pairs:
         result.points[point.key] = point
     return result
-
-
-def run_solver_compare(
-    settings: ExperimentSettings | None = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> SolverCompareResult:
-    """Run the comparison sweep."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    plan = solver_compare_plan(context.settings)
-    return aggregate_solver_compare(context.settings, context.iter(plan))
 
 
 def format_solver_compare(result: SolverCompareResult) -> str:

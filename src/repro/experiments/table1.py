@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.scenarios import Scenario
 from repro.core.simulation import SimulationConfig, SimulationRunner
 from repro.experiments.figure7 import measure_latencies
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 from repro.sanmodels.parameters import SANParameters
@@ -105,8 +105,8 @@ def table1_plan(
     """The Table 1 grid: measured and simulated cells as independent points.
 
     Each point's label starts with ``measured``/``simulated`` and its kwargs
-    carry the scenario label, so the aggregation in :func:`run_table1` can
-    route results without re-deriving the grid.
+    carry the scenario label, so :func:`aggregate_table1` can route results
+    without re-deriving the grid.
     """
     points = []
     for scenario_index, (label, scenario) in enumerate(SCENARIOS):
@@ -159,18 +159,6 @@ def aggregate_table1(
 def _default_table1_plan(settings: ExperimentSettings) -> ReplicationPlan:
     """The registry's plan: the default SAN parameters."""
     return table1_plan(settings, SANParameters())
-
-
-def run_table1(
-    settings: ExperimentSettings | None = None,
-    parameters: Optional[SANParameters] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> Table1Result:
-    """Regenerate Table 1 (measurements and SAN simulations)."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    plan = table1_plan(context.settings, parameters or SANParameters())
-    return aggregate_table1(context.settings, context.iter(plan))
 
 
 def format_table1(result: Table1Result) -> str:

@@ -26,8 +26,8 @@ the first coordinator (process 0) mid-run.  The pipeline is then pure
    explanation.
 
 Like every generator the campaign is a
-:class:`~repro.experiments.runner.ReplicationPlan` (``jobs=`` and
-``cache_dir=`` supported, bit-identical results).
+:class:`~repro.experiments.runner.ReplicationPlan` (``--jobs`` and
+``--cache-dir`` supported, bit-identical results).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
-from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
+from repro.experiments.registry import ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 from repro.faults.spec import CrashRecovery, FaultLoad, MessageLoss
@@ -268,17 +268,6 @@ def aggregate_trace_analysis(
         for step in diff.steps
     ]
     return result
-
-
-def run_trace_analysis(
-    settings: ExperimentSettings | None = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-) -> TraceAnalysisResult:
-    """Run the trace-analysis campaign."""
-    context = ExperimentContext.create(settings, jobs=jobs, cache_dir=cache_dir)
-    plan = trace_analysis_plan(context.settings)
-    return aggregate_trace_analysis(context.settings, context.iter(plan))
 
 
 def format_trace_analysis(result: TraceAnalysisResult) -> str:

@@ -1,4 +1,4 @@
-"""Tests of the Ethernet hub, the transport pipeline and message tracing."""
+"""Tests of the Ethernet hub, the transport pipeline and message timestamps."""
 
 from __future__ import annotations
 
@@ -28,6 +28,15 @@ def _cluster(config):
     return cluster
 
 
+def _received(cluster):
+    """Every message delivered to any sink, grouped by destination process."""
+    return [
+        message
+        for process in cluster.processes
+        for message in process.layer(_Sink).received
+    ]
+
+
 def _send(cluster, sender, destination, msg_type="data", size=100):
     message = Message(sender=sender, destination=destination, msg_type=msg_type, size_bytes=size)
     cluster.transport.send(message)
@@ -47,8 +56,8 @@ def test_end_to_end_delay_is_positive_and_bounded(cluster_config):
     cluster = _cluster(cluster_config)
     _send(cluster, 0, 1)
     cluster.run(until=10.0)
-    record = cluster.trace.records[0]
-    assert 0.05 < record.end_to_end_delay < 1.0
+    (message,) = _received(cluster)
+    assert 0.05 < message.end_to_end_delay() < 1.0
 
 
 def test_broadcast_reaches_every_other_process(cluster_config_5):
@@ -59,7 +68,7 @@ def test_broadcast_reaches_every_other_process(cluster_config_5):
         received = cluster.process(pid).layer(_Sink).received
         assert len(received) == (0 if pid == 2 else 1)
     # The copies carry the original message id as parent.
-    parents = {record.parent_id for record in cluster.trace.records}
+    parents = {message.parent_id for message in _received(cluster)}
     assert len(parents) == 1
 
 
@@ -67,7 +76,7 @@ def test_broadcast_copies_are_staggered_by_sender_side_serialisation(cluster_con
     cluster = _cluster(cluster_config_5)
     _send(cluster, 0, BROADCAST)
     cluster.run(until=10.0)
-    deliveries = sorted(record.delivered_at for record in cluster.trace.records)
+    deliveries = sorted(message.delivered_at for message in _received(cluster))
     assert len(deliveries) == 4
     assert deliveries[-1] - deliveries[0] > cluster.config.network.cpu_send_ms
 
@@ -81,7 +90,7 @@ def test_concurrent_senders_contend_for_the_shared_medium(cluster_config):
     assert cluster.hub.frames_transmitted == 2
     # Both messages also contend for the destination CPU; the second delivery
     # must be later than the first by at least the receive cost.
-    times = sorted(record.delivered_at for record in cluster.trace.records)
+    times = sorted(message.delivered_at for message in _received(cluster))
     assert times[1] - times[0] >= config.network.cpu_receive_ms - 1e-9
 
 
@@ -114,18 +123,6 @@ def test_unknown_destination_is_rejected(cluster_config):
         _send(cluster, 0, 9)
 
 
-def test_trace_filters_and_delay_lists(cluster_config):
-    cluster = _cluster(cluster_config)
-    _send(cluster, 0, 1, msg_type="ping")
-    _send(cluster, 0, BROADCAST, msg_type="blast")
-    cluster.run(until=10.0)
-    assert len(cluster.trace.filter(msg_type="ping")) == 1
-    assert len(cluster.trace.filter(broadcast=True)) == 2
-    assert len(cluster.trace.unicast_delays(msg_type="ping")) == 1
-    assert len(cluster.trace.broadcast_delays_averaged(msg_type="blast")) == 1
-    assert len(cluster.trace.broadcast_delays_per_destination(msg_type="blast")) == 2
-
-
 def test_message_helpers():
     message = Message(sender=0, destination=BROADCAST, msg_type="x")
     assert message.is_broadcast
@@ -142,6 +139,6 @@ def test_reproducibility_same_seed_same_delays():
         _send(cluster, 0, 1)
         _send(cluster, 2, 1)
         cluster.run(until=10.0)
-        return [record.end_to_end_delay for record in cluster.trace.records]
+        return [message.end_to_end_delay() for message in _received(cluster)]
 
     assert run_once() == run_once()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
@@ -11,6 +13,7 @@ from repro.core.measurement import (
     measure_end_to_end_delays,
 )
 from repro.core.scenarios import Scenario
+from repro.experiments.settings import ExperimentSettings
 
 
 def _config(n=3, seed=1, scenario=None, executions=20, **kwargs):
@@ -101,3 +104,31 @@ def test_end_to_end_delay_microbenchmark_reports_both_kinds_of_delays(cluster_co
     assert len(result.broadcast_delays) == 50
     assert result.broadcast_cdf().mean() > result.unicast_cdf().mean()
     assert result.unicast_cdf().min > 0.0
+
+
+#: sha256 of ``repr()`` of the (unicast, broadcast) delay lists of the two
+#: smoke-scale Figure 6 points, keyed by ``(n_processes, point index)``.
+FIGURE6_SMOKE_DIGESTS = {
+    (3, 0): (
+        "aff459e347545b75c288cfb46cbcfb0fa57b050a1bd2123c22220c56ae60d4b7",
+        "3975cb65796a2230b371dab3f457070fac5f99738449df17166c5e7ee2100370",
+    ),
+    (5, 1): (
+        "11fa0677da05e10d50cb890a880d4a9f9944adaf37185ca8d288146d2deb0eb3",
+        "ce5e870e610c71f0cf179242054adddad6c2886f30326eb788de4433ba35674f",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, index", sorted(FIGURE6_SMOKE_DIGESTS))
+def test_figure6_smoke_delays_are_pinned_bit_for_bit(n, index):
+    smoke = ExperimentSettings.smoke()
+    result = measure_end_to_end_delays(
+        smoke.cluster_for(n, smoke.point_seed(6, index)), probes=smoke.delay_probes
+    )
+    digests = tuple(
+        hashlib.sha256(repr(delays).encode()).hexdigest()
+        for delays in (result.unicast_delays, result.broadcast_delays)
+    )
+    assert len(result.unicast_delays) == len(result.broadcast_delays) == 200
+    assert digests == FIGURE6_SMOKE_DIGESTS[(n, index)]

@@ -28,6 +28,7 @@ from repro.experiments.artifacts import (
     validate_artifact,
     validate_instance,
 )
+from repro.experiments.runner import iter_plan
 from repro.experiments.settings import ExperimentSettings
 
 
@@ -83,22 +84,18 @@ def test_every_tabular_experiment_emits_parsable_csv(smoke_cli_artifacts):
 def test_written_reports_match_the_library_rendering_byte_for_byte(smoke_cli_artifacts):
     """The artifact pipeline must not perturb the paper-faithful text.
 
-    Re-render the cheap deterministic experiments directly through their
-    public ``run_*``/``format_*`` API and compare with what the CLI wrote.
-    (``solvercompare`` is excluded: its report embeds wall-clock timings.)
+    Re-render the cheap deterministic experiments directly from their plan
+    builders, aggregators and text renderers (no registry run, no manifest)
+    and compare with what the CLI wrote.  (``solvercompare`` is excluded:
+    its report embeds wall-clock timings.)
     """
-    from repro.experiments.figure6 import format_figure6, run_figure6
-    from repro.experiments.figure7 import format_figure7a, run_figure7a
-    from repro.experiments.figure8 import format_figure8, run_figure8
-
     smoke = ExperimentSettings.smoke()
-    for name, run, render in (
-        ("figure6", run_figure6, format_figure6),
-        ("figure7a", run_figure7a, format_figure7a),
-        ("figure8", run_figure8, format_figure8),
-    ):
+    for name in ("figure6", "figure7a", "figure8"):
+        spec = registry.get(name)
         written = (smoke_cli_artifacts / name / "report.txt").read_text()
-        expected = render(run(smoke))
+        expected = spec.render_text(
+            spec.aggregate(smoke, iter_plan(spec.build_plan(smoke)))
+        )
         # The writer guarantees exactly one trailing newline.
         assert written == (expected if expected.endswith("\n") else expected + "\n")
 

@@ -14,8 +14,9 @@ import pytest
 
 from repro import cli
 from repro.experiments import registry
-from repro.experiments.figure6 import format_figure6, run_figure6
+from repro.experiments.figure6 import aggregate_figure6, figure6_plan, format_figure6
 from repro.experiments.registry import ExperimentOptions, ExperimentSpec, run_experiment
+from repro.experiments.runner import iter_plan
 from repro.experiments.settings import SCALE_PRESETS, ExperimentSettings
 
 #: Every experiment the eight generator modules must register.
@@ -95,15 +96,6 @@ def test_spec_requires_run_or_plan_plus_aggregate():
         )
 
 
-def test_build_points_reports_the_sweep_grid():
-    settings = tiny_settings()
-    points = registry.get("figure6").build_points(settings)
-    assert [dict(p.kwargs)["n_processes"] for p in points] == [3, 5]
-    # Composite experiments construct plans mid-run from intermediate
-    # results, so they expose no up-front grid.
-    assert registry.get("figure7b").build_points(settings) == []
-
-
 # ----------------------------------------------------------------------
 # Shared option validation / settings resolution
 # ----------------------------------------------------------------------
@@ -167,7 +159,8 @@ def test_cli_text_output_is_identical_to_the_library_path(tiny_scale, capsys):
     assert cli.main(["figure6", "--scale", tiny_scale]) == 0
     output = capsys.readouterr().out
     body = output.split("====\n", 1)[1].rsplit("\n[figure6 regenerated", 1)[0]
-    expected = format_figure6(run_figure6(tiny_settings()))
+    settings = tiny_settings()
+    expected = format_figure6(aggregate_figure6(settings, iter_plan(figure6_plan(settings))))
     assert body == expected
 
 
@@ -181,20 +174,6 @@ def test_run_experiment_records_point_timings(tiny_scale):
     assert labels == ["figure7a n=3"]
     assert all(point.seconds > 0 for point in run.manifest.points)
     assert run.manifest.wall_clock_seconds >= max(p.seconds for p in run.manifest.points)
-
-
-def test_run_experiment_enforces_a_spec_scale_restriction(tiny_scale):
-    restricted = ExperimentSpec(
-        name="restricted-demo",
-        description="only runs at smoke scale",
-        render_text=str,
-        to_record=lambda result: {},
-        run=lambda context: "ok",
-        scales=("smoke",),
-    )
-    with pytest.raises(ValueError, match="does not support scale"):
-        run_experiment(restricted, options=ExperimentOptions(scale=tiny_scale))
-    assert run_experiment(restricted, options=ExperimentOptions(scale="smoke")).result == "ok"
 
 
 def test_manifest_scale_reflects_explicit_settings_not_stale_options(tiny_scale):

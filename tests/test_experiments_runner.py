@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure7 import run_figure7a
-from repro.experiments.figure8 import figure8_plan, run_figure8
+from repro.experiments import registry
+from repro.experiments.figure8 import figure8_plan
+from repro.experiments.registry import ExperimentOptions, run_experiment
 from repro.experiments.runner import (
     ReplicationPlan,
     ResultCache,
@@ -115,9 +116,16 @@ def test_parallel_execution_equals_serial_execution(settings):
     assert execute_plan(plan, jobs=1) == execute_plan(plan, jobs=3)
 
 
+def _run(name, settings, jobs):
+    """One registry run of ``name``, as ``repro <name> --jobs <jobs>`` does it."""
+    return run_experiment(
+        registry.get(name), ExperimentOptions(jobs=jobs), settings=settings
+    ).result
+
+
 def test_figure8_sweep_is_identical_across_worker_counts(settings):
-    serial = run_figure8(settings, jobs=1)
-    parallel = run_figure8(settings, jobs=4)
+    serial = _run("figure8", settings, jobs=1)
+    parallel = _run("figure8", settings, jobs=4)
 
     def flatten(result):
         return {
@@ -134,8 +142,8 @@ def test_figure8_sweep_is_identical_across_worker_counts(settings):
 
 
 def test_figure7a_is_bit_for_bit_identical_across_worker_counts(settings):
-    serial = run_figure7a(settings, jobs=1)
-    parallel = run_figure7a(settings, jobs=4)
+    serial = _run("figure7a", settings, jobs=1)
+    parallel = _run("figure7a", settings, jobs=4)
     assert serial.latencies_by_n == parallel.latencies_by_n
 
 

@@ -8,11 +8,14 @@ import pytest
 
 from repro.experiments.fault_sweep import (
     FAULT_LOAD_KINDS,
+    SPEC,
+    aggregate_fault_sweep,
     build_fault_load,
     fault_sweep_plan,
     format_fault_sweep,
-    run_fault_sweep,
 )
+from repro.experiments.registry import ExperimentOptions, run_experiment
+from repro.experiments.runner import iter_plan
 from repro.experiments.settings import ExperimentSettings
 from repro.faults import MessageLoss, NetworkPartition
 
@@ -53,9 +56,10 @@ def test_plan_has_one_point_per_grid_combination():
 
 def test_fault_sweep_runs_end_to_end_and_reports_drop_counters():
     settings = _tiny_settings()
-    result = run_fault_sweep(
+    plan = fault_sweep_plan(
         settings, loss_rates=(0.0, 0.2), load_kinds=("none", "partition")
     )
+    result = aggregate_fault_sweep(settings, iter_plan(plan))
     assert len(result.points) == 4
     lossy = result.point(3, "none", 0.2)
     assert lossy.messages_dropped > 0
@@ -76,9 +80,10 @@ def test_fault_sweep_runs_end_to_end_and_reports_drop_counters():
 
 def test_fault_sweep_parallel_matches_serial():
     settings = _tiny_settings()
-    kwargs = dict(loss_rates=(0.0, 0.2), load_kinds=("none",))
-    serial = run_fault_sweep(settings, jobs=1, **kwargs)
-    parallel = run_fault_sweep(settings, jobs=2, **kwargs)
+    serial, parallel = (
+        run_experiment(SPEC, ExperimentOptions(jobs=jobs), settings=settings).result
+        for jobs in (1, 2)
+    )
     for key, point in serial.points.items():
         other = parallel.points[key]
         assert point.mean_latency_ms == other.mean_latency_ms

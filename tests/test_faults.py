@@ -45,6 +45,11 @@ def _probe_cluster(n=3, seed=5, fault_load=None):
     return cluster
 
 
+def _delivered(cluster):
+    """Every probe delivered to process 1 (the probes' destination), in order."""
+    return cluster.process(1).layer(_ProbeLayer).received
+
+
 def _send_probes(cluster, count, destination=1, gap_ms=1.0, start_ms=0.5):
     sender = cluster.process(0).layer(_ProbeLayer)
     time = start_ms
@@ -83,8 +88,9 @@ def test_fault_injection_is_deterministic_under_fixed_seed():
         cluster.run(until=end + 20.0)
         # msg_ids come from a process-global counter; normalise to the first
         # id so two runs are comparable.
-        base = min(r.msg_id for r in cluster.trace.records)
-        trace = [(r.msg_id - base, r.delivered_at) for r in cluster.trace.records]
+        delivered = _delivered(cluster)
+        base = min(m.msg_id for m in delivered)
+        trace = [(m.msg_id - base, m.delivered_at) for m in delivered]
         return (
             dict(cluster.transport.drops_by_cause),
             cluster.transport.messages_duplicated,
@@ -103,7 +109,7 @@ def test_loss_can_be_restricted_to_message_types():
     cluster.sim.schedule_at(1.5, sender.probe, 1, "fine")
     cluster.run(until=20.0)
     assert cluster.transport.drops_by_cause.get("wire:loss") == 1
-    delivered_types = [r.msg_type for r in cluster.trace.records]
+    delivered_types = [m.msg_type for m in _delivered(cluster)]
     assert delivered_types == ["fine"]
 
 
@@ -118,7 +124,7 @@ def test_duplication_delivers_extra_copies():
     transport = cluster.transport
     assert transport.messages_duplicated == 10
     assert transport.messages_delivered == 20
-    duplicates = [r for r in cluster.trace.records if r.injected_duplicate]
+    duplicates = [m for m in _delivered(cluster) if m.injected_duplicate]
     assert len(duplicates) == 10
     # The receiving layer sees every copy (at-least-once delivery).
     receiver = cluster.process(1).layer(_ProbeLayer)
@@ -140,7 +146,7 @@ def test_partition_blocks_cross_group_traffic_and_heals():
     assert partition_drops > 0
     assert cluster.fault_injector.stats.partition_drops == partition_drops
     # Probes before and after the window got through.
-    delivered_at = [r.submitted_at for r in cluster.trace.records]
+    delivered_at = [m.submitted_at for m in _delivered(cluster)]
     assert any(t < 10.0 for t in delivered_at)
     assert any(t > 20.0 for t in delivered_at)
     assert not any(10.0 < t < 19.0 for t in delivered_at)
@@ -171,7 +177,7 @@ def test_crash_recovery_redelivers_after_recovery():
     assert stats.crashes == 1 and stats.recoveries == 1
     assert not cluster.hosts[1].crashed
     # Probes submitted after the recovery are delivered again.
-    late = [r for r in cluster.trace.records if r.submitted_at > 15.5]
+    late = [m for m in _delivered(cluster) if m.submitted_at > 15.5]
     assert late, "no probe delivered after recovery"
 
 
@@ -197,7 +203,7 @@ def test_stack_delay_spikes_reorder_messages():
     end = _send_probes(cluster, 100, gap_ms=0.5)
     cluster.run(until=end + 30.0)
     assert cluster.fault_injector.stats.delay_spikes > 0
-    order = [r.msg_id for r in cluster.trace.records]
+    order = [m.msg_id for m in _delivered(cluster)]
     assert order != sorted(order), "delay spikes should reorder deliveries"
 
 
@@ -211,8 +217,8 @@ def test_medium_delay_spikes_slow_the_wire():
     slowed = _probe_cluster(seed=3, fault_load=slow)
     end = _send_probes(slowed, 20)
     slowed.run(until=end + 40.0)
-    mean_fast = sum(r.end_to_end_delay for r in fast.trace.records) / 20
-    mean_slow = sum(r.end_to_end_delay for r in slowed.trace.records) / 20
+    mean_fast = sum(m.end_to_end_delay() for m in _delivered(fast)) / 20
+    mean_slow = sum(m.end_to_end_delay() for m in _delivered(slowed)) / 20
     assert mean_slow > mean_fast + 0.9
 
 
@@ -221,9 +227,9 @@ def test_cpu_load_burst_slows_messages_during_the_window():
     cluster = _probe_cluster(fault_load=load)
     end = _send_probes(cluster, 30, gap_ms=1.0, start_ms=0.5)
     cluster.run(until=end + 20.0)
-    records = cluster.trace.records
-    in_burst = [r.end_to_end_delay for r in records if 10.0 <= r.submitted_at < 19.0]
-    outside = [r.end_to_end_delay for r in records if r.submitted_at < 9.0]
+    delivered = _delivered(cluster)
+    in_burst = [m.end_to_end_delay() for m in delivered if 10.0 <= m.submitted_at < 19.0]
+    outside = [m.end_to_end_delay() for m in delivered if m.submitted_at < 9.0]
     assert in_burst and outside
     assert sum(in_burst) / len(in_burst) > sum(outside) / len(outside)
 

@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.registry import ExperimentOptions, run_experiment
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.solver_compare import (
     COMPARE_MODELS,
+    SPEC,
     format_solver_compare,
-    run_solver_compare,
     solver_compare_plan,
 )
 
 
+def _run(**options):
+    """One smoke-scale registry run, as ``repro solvercompare`` does it."""
+    return run_experiment(
+        SPEC, ExperimentOptions(**options), settings=ExperimentSettings.smoke()
+    ).result
+
+
 @pytest.fixture(scope="module")
 def smoke_result():
-    return run_solver_compare(ExperimentSettings.smoke())
+    return _run()
 
 
 def test_sweep_produces_one_point_per_model(smoke_result):
@@ -60,7 +68,7 @@ def test_batched_leg_is_bit_identical_to_scalar(smoke_result):
 
 
 def test_parallel_sweep_matches_serial_statistics(smoke_result):
-    parallel = run_solver_compare(ExperimentSettings.smoke(), jobs=2)
+    parallel = _run(jobs=2)
     for key, point in smoke_result.points.items():
         other = parallel.point(key)
         for mine, theirs in zip(point.rewards, other.rewards, strict=True):
@@ -72,8 +80,8 @@ def test_parallel_sweep_matches_serial_statistics(smoke_result):
 
 def test_cache_round_trip(tmp_path, smoke_result):
     cache_dir = str(tmp_path / "cache")
-    first = run_solver_compare(ExperimentSettings.smoke(), cache_dir=cache_dir)
-    second = run_solver_compare(ExperimentSettings.smoke(), cache_dir=cache_dir)
+    first = _run(cache_dir=cache_dir)
+    second = _run(cache_dir=cache_dir)
     for key in first.points:
         assert (
             first.point(key).rewards[0].simulative_mean

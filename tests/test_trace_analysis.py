@@ -11,7 +11,6 @@ from repro.experiments.trace_analysis import (
     SPEC,
     format_trace_analysis,
     n_trace_replications,
-    run_trace_analysis,
     trace_analysis_plan,
     trace_analysis_record,
     trace_analysis_rows,
@@ -22,7 +21,7 @@ from repro.faults import CrashRecovery, MessageLoss
 
 @pytest.fixture(scope="module")
 def smoke_result():
-    return run_trace_analysis(ExperimentSettings.from_scale("smoke"))
+    return run_experiment(SPEC, settings=ExperimentSettings.from_scale("smoke")).result
 
 
 def test_fault_load_alternates_the_coordinator_crash():
