@@ -10,13 +10,18 @@ replication, unbatched draws) on the same seeds and asserts the required
 so the speed never comes from semantic drift.
 
 A second benchmark covers the analytic side: state-space generation plus
-an exact solve of the exponentialized n = 3 model.
+an exact solve of the exponentialized n = 3 model.  A third times
+state-space generation alone on the n = 4 model (8,262 states), the
+largest exact solve the benchmarks run, and prints its states/s.
 """
 
 from __future__ import annotations
 
+import time
+
 from repro.benchmarking import best_of, run_once
 from repro.san.analytic import AnalyticSolver
+from repro.san.compiled import compile_model
 from repro.san.reference import ReferenceExecutor
 from repro.san.solver import SimulativeSolver
 from repro.san.statespace import generate_state_space
@@ -91,3 +96,23 @@ def test_bench_consensus_statespace(benchmark):
     )
     assert space.n_states == 345
     assert result.mean("latency") > 0
+
+
+def test_bench_consensus_statespace_n4(benchmark):
+    model = exponential_consensus_model(4)
+    compile_model(model)  # the lowering is cached per model: keep it off the clock
+    seconds = []
+
+    def generate():
+        started = time.perf_counter()
+        space = generate_state_space(model, stop_predicate=consensus_stop_predicate)
+        seconds.append(time.perf_counter() - started)
+        return space
+
+    space = run_once(benchmark, generate)
+    print(
+        f"\nstatespace n=4: {space.n_states} states, {len(space.transitions)} "
+        f"transitions in {min(seconds):.3f} s "
+        f"({space.n_states / min(seconds):.0f} states/s)"
+    )
+    assert (space.n_states, len(space.transitions)) == (8262, 21582)

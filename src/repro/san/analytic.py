@@ -467,7 +467,6 @@ class AnalyticSolver:
         result: AnalyticResult,
     ) -> float:
         space = self.state_space
-        markings = space.markings()
 
         if isinstance(reward, FirstPassageTime):
             mean, _probability = self.first_passage_time(reward.predicate)
@@ -488,7 +487,7 @@ class AnalyticSolver:
 
         if isinstance(reward, IntervalOfTime):
             rates = np.asarray(
-                [float(reward.rate(marking)) for marking in markings]
+                [float(reward.rate(marking)) for marking in space.markings()]
             )
             weights = sojourn if absorbing_mode else occupancy
             assert weights is not None
@@ -505,7 +504,7 @@ class AnalyticSolver:
         if isinstance(reward, InstantOfTime):
             distribution = self.transient(reward.at_time)
             values = np.asarray(
-                [float(reward.function(marking)) for marking in markings]
+                [float(reward.function(marking)) for marking in space.markings()]
             )
             return float((distribution * values).sum())
 

@@ -210,7 +210,7 @@ class BatchedSANExecutor:
         for index, (row_streams, row_rewards, initial) in enumerate(
             zip(streams, rewards_per_row, initial_markings, strict=True)
         ):
-            tokens, overflow = self._initial_tokens(initial)
+            tokens, overflow = self._compiled.token_row(initial)
             self._tokens[index] = tokens
             mirror = self._tokens[index]
             marking = RowMarking(self._compiled, tokens, mirror)
@@ -471,23 +471,6 @@ class BatchedSANExecutor:
     # ------------------------------------------------------------------
     # Row initialisation
     # ------------------------------------------------------------------
-    def _initial_tokens(
-        self, initial: Optional[Marking]
-    ) -> Tuple[List[int], Dict[str, int]]:
-        """One token row (plus undeclared-name overflow) for a marking."""
-        compiled = self._compiled
-        if initial is None:
-            return list(compiled.initial_tokens), {}
-        tokens = [0] * compiled.n_places
-        overflow: Dict[str, int] = {}
-        for name, count in initial.as_dict().items():  # repro: ignore[DET001] row assembly; each name writes an independent slot
-            index = compiled.place_index.get(name)
-            if index is None:
-                overflow[name] = int(count)
-            else:
-                tokens[index] = int(count)
-        return tokens, overflow
-
     def _schedule_initial(self, row: _Row, arc_mask: np.ndarray) -> None:
         """Schedule the initially-enabled timed activities of one row."""
         marking = row.marking

@@ -8,7 +8,9 @@ case probabilities, duration distributions -- stay as the original
 closures but re-keyed by activity index.  The compiled form is what
 :class:`~repro.san.batched.BatchedSANExecutor` interprets: ``B``
 replications advance lock-step over a ``B x places`` token matrix instead
-of ``B`` independent object-graph walks.
+of ``B`` independent object-graph walks.  The exact solver's state-space
+generator (:mod:`repro.san.statespace`) walks the same token rows and
+dependency bitmasks, so both solvers share one lowering.
 
 Like the scalar executor's ``_ModelStructure`` (PR 5), the compiled model
 is derived purely from the model's immutable shape, built once and cached
@@ -52,6 +54,7 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -146,6 +149,8 @@ class CompiledCase:
         "output_gates",
         "change_idx",
         "candidate_bits",
+        "enabling_bits",
+        "timed_candidate_bits",
     )
 
     def __init__(
@@ -169,6 +174,15 @@ class CompiledCase:
         #: the static changed set (conservatives included).  Filled in by
         #: :class:`CompiledSANModel` once the dependency bit tables exist.
         self.candidate_bits: int = 0
+        #: The part of ``candidate_bits`` a completion through this case
+        #: can newly *enable*: a gate-free activity is only made enabled
+        #: by a place the arcs leave with more tokens, so its other
+        #: dependents drop out (gated and conservative ones stay).
+        self.enabling_bits: int = 0
+        #: The same for the timed activities (bit ``i`` = declaration
+        #: position ``i``): the ones whose enablement the static changed
+        #: set can alter.
+        self.timed_candidate_bits: int = 0
 
 
 class CompiledActivity:
@@ -281,6 +295,9 @@ class CompiledSANModel:
         "global_inst_bits",
         "inst_bits_by_place",
         "inst_bits_by_unknown",
+        "global_timed_bits",
+        "timed_bits_by_place",
+        "timed_bits_by_unknown",
         "inst_flat_places",
         "inst_flat_weights",
         "inst_arc_starts",
@@ -367,32 +384,64 @@ class CompiledSANModel:
         }
 
         # Bitmask twins of the instantaneous dependency indexes, for the
-        # batched executor's matrix-level chain: bit ``i`` stands for
-        # firing-precedence position ``i``, so OR-ing the masks of the
-        # changed places rebuilds the candidate set with one integer OR
-        # per place, and the *lowest set bit* of a candidate mask is the
-        # next activity the scalar executor's rank-ordered walk would
-        # visit.
+        # batched executor's matrix-level chain and the state-space
+        # generator: bit ``i`` stands for firing-precedence position
+        # ``i``, so OR-ing the masks of the changed places rebuilds the
+        # candidate set with one integer OR per place, and the *lowest set
+        # bit* of a candidate mask is the next activity the scalar
+        # executor's rank-ordered walk would visit.
         self.n_inst = len(self.instantaneous)
-        self.global_inst_bits = self._inst_bits(self.global_inst)
+        self.global_inst_bits = self._index_bits(self.global_inst)
         self.inst_bits_by_place: Dict[int, int] = {
-            place: self._inst_bits(activities)
+            place: self._index_bits(activities)
             for place, activities in self.inst_by_place.items()  # repro: ignore[DET001] re-keying only; the result is read by .get(key), never iterated in order
         }
         self.inst_bits_by_unknown: Dict[str, int] = {
-            name: self._inst_bits(activities)
+            name: self._index_bits(activities)
             for name, activities in self.inst_by_unknown.items()  # repro: ignore[DET001] re-keying only; the result is read by .get(key), never iterated in order
         }
+        # The timed twins (bit ``i`` = declaration position ``i``), for the
+        # state-space generator's re-test of a state's enabled set.
+        self.global_timed_bits = self._index_bits(self.global_timed)
+        self.timed_bits_by_place: Dict[int, int] = {
+            place: self._index_bits(activities)
+            for place, activities in self.timed_by_place.items()  # repro: ignore[DET001] re-keying only; the result is read by .get(key), never iterated in order
+        }
+        self.timed_bits_by_unknown: Dict[str, int] = {
+            name: self._index_bits(activities)
+            for name, activities in self.timed_by_unknown.items()  # repro: ignore[DET001] re-keying only; the result is read by .get(key), never iterated in order
+        }
 
-        # Pre-resolve each case's static candidate bitmask (the arcs of a
-        # completion are fixed per case, so its candidate set is too, up
-        # to gate writes, which the executor ORs in dynamically).
+        # Pre-resolve each case's static candidate bitmasks (the arcs of a
+        # completion are fixed per case, so its candidate sets are too, up
+        # to gate writes, which the callers OR in dynamically).
+        gated_inst_bits = self._index_bits(
+            [compiled for compiled in self.instantaneous if compiled.input_gates]
+        )
+        inst_bits_of = self.inst_bits_by_place.get
+        timed_bits_of = self.timed_bits_by_place.get
         for compiled in self.timed + self.instantaneous:
+            consumed: Dict[int, int] = {}
+            for place, weight in compiled.input_arcs:
+                consumed[place] = consumed.get(place, 0) + weight
             for compiled_case in compiled.cases:
-                bits = self.global_inst_bits
+                produced: Dict[int, int] = {}
+                for place, weight in compiled_case.output_arcs:
+                    produced[place] = produced.get(place, 0) + weight
+                bits = enabling_bits = self.global_inst_bits
+                timed_bits = self.global_timed_bits
                 for place in compiled_case.change_idx:
-                    bits |= self.inst_bits_by_place.get(place, 0)
+                    place_bits = inst_bits_of(place, 0)
+                    if place_bits:
+                        bits |= place_bits
+                        if produced.get(place, 0) > consumed.get(place, 0):
+                            enabling_bits |= place_bits
+                        else:
+                            enabling_bits |= place_bits & gated_inst_bits
+                    timed_bits |= timed_bits_of(place, 0)
                 compiled_case.candidate_bits = bits
+                compiled_case.enabling_bits = enabling_bits
+                compiled_case.timed_candidate_bits = timed_bits
 
         # Flattened instantaneous input arcs, grouped by activity, for one
         # ``np.logical_and.reduceat`` arc-enablement check per chain round
@@ -417,7 +466,7 @@ class CompiledSANModel:
         self.inst_arc_starts = np.asarray(arc_starts, dtype=np.intp)
         self.inst_arc_cols = np.asarray(arc_cols, dtype=np.intp)
 
-    def _inst_bits(self, activities: Sequence[CompiledActivity]) -> int:
+    def _index_bits(self, activities: Sequence[CompiledActivity]) -> int:
         bits = 0
         for compiled in activities:
             bits |= 1 << compiled.index
@@ -462,6 +511,25 @@ class CompiledSANModel:
             unknown.setdefault(name, []).append(compiled)
 
     # ------------------------------------------------------------------
+    def token_row(
+        self, marking: Optional[Marking]
+    ) -> Tuple[List[int], Dict[str, int]]:
+        """One token row (plus undeclared-name overflow) for a marking.
+
+        ``None`` stands for the model's declared initial marking.
+        """
+        if marking is None:
+            return list(self.initial_tokens), {}
+        tokens = [0] * self.n_places
+        overflow: Dict[str, int] = {}
+        for name, count in marking.as_dict().items():  # repro: ignore[DET001] row assembly; each name writes an independent slot
+            index = self.place_index.get(name)
+            if index is None:
+                overflow[name] = int(count)
+            else:
+                tokens[index] = int(count)
+        return tokens, overflow
+
     def arc_enabled_mask(
         self, tokens: np.ndarray, activities: Sequence[CompiledActivity]
     ) -> np.ndarray:

@@ -5,11 +5,11 @@ predicates and functions receive the marking and read or mutate it through
 the mapping interface.  The marking guards against negative token counts,
 the most common modeling bug.
 
-:class:`FrozenMarking` is the immutable, hashable counterpart used as the
-state key by the reachability-graph generator
-(:mod:`repro.san.statespace`): two markings that agree on every nonzero
-place freeze to the same key, so zero-padded and sparse representations of
-the same state coincide in the state space.
+:class:`FrozenMarking` is the immutable, hashable counterpart in which the
+reachability-graph generator (:mod:`repro.san.statespace`) reports its
+states and looks them up (``StateSpace.index_of``): two markings that
+agree on every nonzero place freeze to the same key, so zero-padded and
+sparse representations of the same state coincide in the state space.
 """
 
 from __future__ import annotations
@@ -99,9 +99,7 @@ class Marking:
         """An immutable, hashable snapshot of this marking.
 
         Markings already guarantee non-negative integer counts, so the
-        snapshot skips :class:`FrozenMarking`'s per-item validation -- the
-        state-space explorer freezes a marking per reachable state and this
-        is its hot path.
+        snapshot skips :class:`FrozenMarking`'s per-item validation.
         """
         return FrozenMarking._from_clean_tokens(self._tokens)
 
@@ -154,7 +152,7 @@ class Marking:
 
 
 class FrozenMarking:
-    """An immutable, hashable marking: the state key of the state space.
+    """An immutable, hashable marking: a state of the state space.
 
     Only nonzero token counts are stored (in sorted place order), so two
     markings that differ only in explicit zeros freeze to equal keys with
@@ -188,9 +186,21 @@ class FrozenMarking:
         coercion/validation of ``__init__`` (the marking enforced it on
         every write).
         """
+        return cls._from_items(
+            tuple(sorted(item for item in tokens.items() if item[1]))
+        )
+
+    @classmethod
+    def _from_items(cls, items: tuple[tuple[str, int], ...]) -> "FrozenMarking":
+        """Freeze ``(place, count)`` pairs that are already canonical.
+
+        Internal fast path for callers that produce the nonzero pairs in
+        sorted place order themselves (the state-space generator builds
+        every state this way); nothing is checked or sorted.
+        """
         frozen = cls.__new__(cls)
-        frozen._items = tuple(sorted(item for item in tokens.items() if item[1]))
-        frozen._hash = hash(frozen._items)  # repro: ignore[DET002] same in-process hash memo as __init__
+        frozen._items = items
+        frozen._hash = hash(items)  # repro: ignore[DET002] same in-process hash memo as __init__
         frozen._lookup = None
         return frozen
 
@@ -249,8 +259,16 @@ class FrozenMarking:
         return sum(count for _, count in self._items)
 
     def thaw(self) -> Marking:
-        """A fresh mutable :class:`Marking` with the same token counts."""
-        return Marking(dict(self._items))
+        """A fresh mutable :class:`Marking` with the same token counts.
+
+        The frozen counts are already non-negative ints, so the marking
+        adopts them with :meth:`Marking.copy`'s fast-clone idiom (empty
+        change journal) instead of replaying ``__setitem__`` per place.
+        """
+        thawed = Marking.__new__(Marking)
+        thawed._tokens = dict(self._items)
+        thawed._changed = set()
+        return thawed
 
     @staticmethod
     def from_marking(marking: Marking) -> "FrozenMarking":

@@ -37,20 +37,54 @@ The generator reproduces the executor's semantics exactly
   checked after every completion -- including the instantaneous firings
   inside an elimination chain -- mirroring the executor.
 
-The state key is the hashable :class:`~repro.san.marking.FrozenMarking`;
-markings that agree on every nonzero place are the same state.
+Representation
+--------------
+Generation walks the model's :class:`~repro.san.compiled.CompiledSANModel`,
+the lowering the batched executor interprets.  A marking in flight is an
+integer token row plus a mapping for the undeclared places only gate
+functions write; gates, case weights, marking-dependent distributions and
+the stop predicate read it through a :class:`~repro.san.compiled.RowMarking`
+view, whose journal reports what each gate function changed.  The state
+key is the *packed* row -- its ``bytes`` (a tuple if a count exceeds 255)
+plus the sorted nonzero undeclared-place counts -- so markings that agree
+on every nonzero place are one state; ``StateSpace.states`` is built from
+the keys once, at the end, as :class:`~repro.san.marking.FrozenMarking`
+objects.
+
+Enablement is derived, not rescanned.  Only the initial (or overridden)
+marking is scanned in full; every explored state is tangible, so:
+
+* an elimination chain walks a candidate bitmask of instantaneous
+  activities lowest bit first (firing precedence): the dependents of the
+  places its completions changed (``CompiledCase.enabling_bits`` -- a
+  gate-free activity only where its place gained tokens -- plus
+  ``inst_bits_by_place``/``inst_bits_by_unknown`` for gate writes), and
+  the candidates not yet found disabled;
+* a state's enabled timed set is inherited from the state that
+  discovered it, re-testing only the timed dependents of the places
+  changed on the way.
+
+Both walks visit activities in full-scan order, so the state numbering,
+the transition order and every floating-point accumulation equal those
+of the walk that re-tests every activity on every marking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.san.activities import Activity, Case, InstantaneousActivity, TimedActivity
+from repro.san.compiled import (
+    CompiledActivity,
+    CompiledCase,
+    CompiledSANModel,
+    RowMarking,
+    compile_model,
+)
 from repro.san.marking import FrozenMarking, Marking
 from repro.san.model import SANModel
 from repro.stats.distributions import Exponential
@@ -203,7 +237,15 @@ class StateSpace:
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
-def _exponential_rate(activity: TimedActivity, marking: Marking) -> float:
+#: One end point of an elimination chain: ``(probability, row, view,
+#: fired, stopped, timed_deps)`` -- the token row and its marking view,
+#: the instantaneous completions fired on the way (by activity name),
+#: whether the stop predicate holds, and the bitmask of the timed
+#: activities whose enablement the path's changes can have altered.
+_Terminal = Tuple[float, List[int], RowMarking, Dict[str, float], bool, int]
+
+
+def _exponential_rate(activity: CompiledActivity, marking: Marking) -> float:
     """The exponential rate of ``activity`` in ``marking`` (or raise)."""
     dist = activity.distribution
     if callable(dist) and not hasattr(dist, "sample"):
@@ -219,10 +261,10 @@ def _exponential_rate(activity: TimedActivity, marking: Marking) -> float:
 
 
 def _case_distribution(
-    activity: Activity, marking: Marking
-) -> List[Tuple[Case, float]]:
+    activity: CompiledActivity, marking: Marking
+) -> List[Tuple[CompiledCase, float]]:
     """The normalised case probabilities of ``activity`` in ``marking``."""
-    weights = [case.weight(marking) for case in activity.cases]
+    weights = [compiled.case.weight(marking) for compiled in activity.cases]
     if any(weight < 0 for weight in weights):
         raise StateSpaceError(
             f"activity {activity.name!r}: negative case probability"
@@ -233,38 +275,114 @@ def _case_distribution(
             f"activity {activity.name!r}: case probabilities sum to zero"
         )
     return [
-        (case, weight / total)
-        for case, weight in zip(activity.cases, weights, strict=True)
+        (compiled, weight / total)
+        for compiled, weight in zip(activity.cases, weights, strict=True)
         if weight / total > PROBABILITY_EPSILON
     ]
 
 
-def _stabilize(
-    marking: Marking,
-    instantaneous: Sequence[InstantaneousActivity],
-    stop_predicate: Optional[MarkingPredicate],
-) -> List[Tuple[float, Marking, Dict[str, float]]]:
-    """Eliminate vanishing markings starting from ``marking``.
+def _view(
+    compiled: CompiledSANModel, row: List[int], overflow: Iterable[Tuple[str, int]]
+) -> RowMarking:
+    """A marking view of ``row`` plus the undeclared-place ``overflow``."""
+    view = RowMarking(compiled, row)
+    view._overflow.update(overflow)
+    return view
 
-    Returns the distribution over terminal markings as ``(probability,
-    marking, fired)`` triples, where ``fired`` counts the instantaneous
-    completions along the path.  A terminal marking is tangible (no
+
+def _complete(
+    compiled: CompiledSANModel,
+    activity: CompiledActivity,
+    case: CompiledCase,
+    row: List[int],
+    view: RowMarking,
+) -> Tuple[int, int]:
+    """Apply one completion to ``row``; the dependents of what it changed.
+
+    Returns two bitmasks: the instantaneous activities the completion can
+    have enabled and the timed activities whose enablement it can have
+    altered -- the case's precompiled static masks ORed with the
+    dependents of the places its gate functions wrote.
+    """
+    # SAN completion order: input arcs, input gate functions, output arcs
+    # of the chosen case, output gate functions.
+    for place, weight in activity.input_arcs:
+        value = row[place] - weight
+        if value < 0:
+            raise ValueError(
+                f"marking of place {compiled.place_names[place]!r} would "
+                f"become negative ({value})"
+            )
+        row[place] = value
+    for gate in activity.input_gates:
+        gate.apply(view)
+    for place, weight in case.output_arcs:
+        row[place] += weight
+    for out_gate in case.output_gates:
+        out_gate.apply(view)
+    inst_bits = case.enabling_bits
+    timed_bits = case.timed_candidate_bits
+    gate_idx, gate_names = view.take_changes()
+    for place in gate_idx:
+        inst_bits |= compiled.inst_bits_by_place.get(place, 0)
+        timed_bits |= compiled.timed_bits_by_place.get(place, 0)
+    for name in gate_names:
+        inst_bits |= compiled.inst_bits_by_unknown.get(name, 0)
+        timed_bits |= compiled.timed_bits_by_unknown.get(name, 0)
+    return inst_bits, timed_bits
+
+
+def _stabilize(
+    compiled: CompiledSANModel,
+    row: List[int],
+    view: RowMarking,
+    candidates: int,
+    timed_deps: int,
+    stop_predicate: Optional[MarkingPredicate],
+) -> List[_Terminal]:
+    """Eliminate vanishing markings starting from ``row``.
+
+    ``candidates`` is a bitmask over the rank-ordered instantaneous
+    activities holding every one that may be enabled in ``row``; the walk
+    visits it lowest bit first, so the first enabled candidate is the one
+    a full scan in firing precedence would find.  A candidate found
+    disabled is dropped: only a change to a place it depends on can
+    enable it again, and every completion adds the dependents of the
+    places it changed.
+
+    Returns the terminal markings of the elimination, in the order the
+    depth-first walk reaches them.  A terminal marking is tangible (no
     instantaneous activity enabled) or satisfies the stop predicate.
     """
-    if stop_predicate is not None and stop_predicate(marking):
-        return [(1.0, marking, {})]
-    pending: List[Tuple[float, Marking, Dict[str, float]]] = [(1.0, marking, {})]
-    terminal: List[Tuple[float, Marking, Dict[str, float]]] = []
+    if stop_predicate is not None and stop_predicate(view):
+        return [(1.0, row, view, {}, True, timed_deps)]
+    instantaneous = compiled.instantaneous
+    # (probability, row, view, fired, candidates, timed_deps)
+    pending: List[Tuple[float, List[int], RowMarking, Dict[str, float], int, int]] = [
+        (1.0, row, view, {}, candidates, timed_deps)
+    ]
+    terminal: List[_Terminal] = []
     firings = 0
     while pending:
-        probability, current, fired = pending.pop()
+        probability, row, view, fired, candidates, timed_deps = pending.pop()
         enabled = None
-        for activity in instantaneous:
-            if activity.enabled(current):
-                enabled = activity
-                break
+        while candidates:
+            low = candidates & -candidates
+            activity = instantaneous[low.bit_length() - 1]
+            # CompiledActivity.enabled, inlined: this walk is the hot loop.
+            for place, weight in activity.input_arcs:
+                if row[place] < weight:
+                    break
+            else:
+                for gate in activity.input_gates:
+                    if not gate.predicate(view):
+                        break
+                else:
+                    enabled = activity
+                    break
+            candidates ^= low
         if enabled is None:
-            terminal.append((probability, current, fired))
+            terminal.append((probability, row, view, fired, False, timed_deps))
             continue
         firings += 1
         if firings > MAX_VANISHING_FIRINGS:
@@ -273,18 +391,69 @@ def _stabilize(
                 "while eliminating a vanishing marking -- unstable "
                 "(vanishing) loop?"
             )
-        cases = _case_distribution(enabled, current)
+        cases = _case_distribution(enabled, view)
         for case, case_probability in cases:
-            branch = current.copy() if len(cases) > 1 else current
-            enabled.complete(branch, case)
+            if len(cases) > 1:
+                branch_row = row.copy()
+                branch = _view(compiled, branch_row, view._overflow.items())
+            else:
+                branch_row, branch = row, view
+            inst_bits, timed_bits = _complete(
+                compiled, enabled, case, branch_row, branch
+            )
             branch_fired = dict(fired)
             branch_fired[enabled.name] = branch_fired.get(enabled.name, 0.0) + 1.0
             branch_probability = probability * case_probability
+            branch_deps = timed_deps | timed_bits
             if stop_predicate is not None and stop_predicate(branch):
-                terminal.append((branch_probability, branch, branch_fired))
+                terminal.append(
+                    (branch_probability, branch_row, branch, branch_fired,
+                     True, branch_deps)
+                )
             else:
-                pending.append((branch_probability, branch, branch_fired))
+                pending.append(
+                    (branch_probability, branch_row, branch, branch_fired,
+                     candidates | inst_bits, branch_deps)
+                )
     return terminal
+
+
+def _frozen_states(
+    compiled: CompiledSANModel,
+    packed_rows: Sequence["bytes | Tuple[int, ...]"],
+    extras: Sequence[Tuple[Tuple[str, int], ...]],
+) -> List[FrozenMarking]:
+    """The :class:`FrozenMarking` of every packed state.
+
+    The rows are stacked into one matrix with its columns in place-*name*
+    order, so one ``np.nonzero`` yields every state's nonzero pairs
+    already sorted (only a state with undeclared-place counts re-sorts).
+    Every distinct ``(place, count)`` pair is built once and shared by
+    all the states holding it.
+    """
+    n_states = len(packed_rows)
+    matrix: np.ndarray
+    if all(type(packed) is bytes for packed in packed_rows):
+        matrix = np.frombuffer(b"".join(packed_rows), dtype=np.uint8)  # type: ignore[arg-type]
+    else:  # some place holds more than 255 tokens
+        matrix = np.asarray([list(packed) for packed in packed_rows], dtype=np.int64)
+    order = sorted(range(compiled.n_places), key=compiled.place_names.__getitem__)
+    names = [compiled.place_names[index] for index in order]
+    by_name = matrix.reshape(n_states, compiled.n_places)[:, order]
+    state_ids, columns = np.nonzero(by_name)
+    counts = by_name[state_ids, columns].astype(np.int64)
+    base = int(counts.max()) + 1 if counts.size else 1
+    codes, which = np.unique(columns * base + counts, return_inverse=True)
+    shared = [(names[code // base], code % base) for code in codes.tolist()]
+    pairs = list(map(shared.__getitem__, which.tolist()))
+    bounds = np.searchsorted(state_ids, np.arange(n_states + 1)).tolist()
+    states = []
+    for state, extra in enumerate(extras):
+        items = tuple(pairs[bounds[state] : bounds[state + 1]])
+        if extra:
+            items = tuple(sorted(items + extra))
+        states.append(FrozenMarking._from_items(items))
+    return states
 
 
 def generate_state_space(
@@ -310,45 +479,75 @@ def generate_state_space(
         :class:`StateSpaceError` beyond it).
     """
     model.validate()
-    instantaneous = sorted(
-        model.instantaneous_activities, key=lambda activity: activity.rank
-    )
-    timed = model.timed_activities
+    compiled = compile_model(model)
+    timed = compiled.timed
 
-    start = (
-        initial_marking.copy() if initial_marking is not None
-        else model.initial_marking()
-    )
-
-    states: List[FrozenMarking] = []
-    index: Dict[FrozenMarking, int] = {}
+    # Per state: the packed token row, the nonzero undeclared-place
+    # counts, and (for frontier states) the enabled timed activities.
+    packed_rows: List["bytes | Tuple[int, ...]"] = []
+    extras: List[Tuple[Tuple[str, int], ...]] = []
+    enabled_timed: List[int] = []
+    index: Dict[object, int] = {}
     initial_probability: Dict[int, float] = {}
     stop_flags: List[bool] = []
     frontier: List[int] = []
 
-    def intern_state(marking: Marking, stopped: bool) -> int:
-        key = marking.freeze()
+    def intern_state(
+        row: List[int],
+        view: RowMarking,
+        stopped: bool,
+        parent_enabled: int,
+        timed_deps: int,
+    ) -> int:
+        try:
+            packed: "bytes | Tuple[int, ...]" = bytes(row)
+        except ValueError:  # a place holds more than 255 tokens
+            packed = tuple(row)
+        extra = (
+            tuple(sorted(item for item in view._overflow.items() if item[1]))
+            if view._overflow else ()
+        )
+        key = (packed, extra) if extra else packed
         state = index.get(key)
         if state is None:
-            state = len(states)
+            state = len(packed_rows)
             if state >= max_states:
                 raise StateSpaceError(
                     f"model {model.name!r}: state space exceeds "
                     f"max_states={max_states}"
                 )
-            states.append(key)
+            packed_rows.append(packed)
+            extras.append(extra)
             index[key] = state
             stop_flags.append(stopped)
+            enabled = 0
             if not stopped:
+                # Only the timed activities depending on a place changed
+                # on the way here can differ from the discovering parent.
+                enabled = parent_enabled & ~timed_deps
+                retest = timed_deps
+                while retest:
+                    low = retest & -retest
+                    if timed[low.bit_length() - 1].enabled(row, view):
+                        enabled |= low
+                    retest ^= low
                 frontier.append(state)
+            enabled_timed.append(enabled)
         return state
 
+    start_row, start_overflow = compiled.token_row(initial_marking)
+    all_inst = (1 << compiled.n_inst) - 1
+    all_timed = (1 << compiled.n_timed) - 1
     initial_completions: Dict[str, float] = {}
-    for probability, terminal, fired in _stabilize(
-        start, instantaneous, stop_predicate
+    for probability, row, view, fired, stopped, _deps in _stabilize(
+        compiled,
+        start_row,
+        _view(compiled, start_row, start_overflow.items()),
+        all_inst,
+        all_timed,
+        stop_predicate,
     ):
-        stopped = stop_predicate is not None and stop_predicate(terminal)
-        state = intern_state(terminal, stopped)
+        state = intern_state(row, view, stopped, 0, all_timed)
         initial_probability[state] = (
             initial_probability.get(state, 0.0) + probability
         )
@@ -365,29 +564,38 @@ def generate_state_space(
     while cursor < len(frontier):
         source = frontier[cursor]
         cursor += 1
-        source_marking = states[source].thaw()
+        source_row = list(packed_rows[source])
+        source_view = _view(compiled, source_row, extras[source])
+        source_enabled = enabled_timed[source]
         # Aggregate parallel edges: (target) -> [rate, completions].
         edges: Dict[int, Tuple[float, Dict[str, float]]] = {}
-        for activity in timed:
-            if not activity.enabled(source_marking):
-                continue
-            rate = _exponential_rate(activity, source_marking)
+        remaining = source_enabled
+        while remaining:
+            # Lowest bit first: the timed activities in declaration order.
+            low = remaining & -remaining
+            remaining ^= low
+            activity = timed[low.bit_length() - 1]
+            rate = _exponential_rate(activity, source_view)
             for case, case_probability in _case_distribution(
-                activity, source_marking
+                activity, source_view
             ):
-                after = source_marking.copy()
-                activity.complete(after, case)
+                after_row = source_row.copy()
+                after = _view(compiled, after_row, extras[source])
+                # The source is tangible, so only the instantaneous
+                # dependents of this completion's changes can be enabled.
+                inst_bits, timed_bits = _complete(
+                    compiled, activity, case, after_row, after
+                )
                 branch_rate = rate * case_probability
-                for probability, terminal, fired in _stabilize(
-                    after, instantaneous, stop_predicate
+                for probability, row, view, fired, stopped, deps in _stabilize(
+                    compiled, after_row, after, inst_bits, timed_bits,
+                    stop_predicate,
                 ):
-                    stopped = (
-                        stop_predicate is not None and stop_predicate(terminal)
+                    target = intern_state(
+                        row, view, stopped, source_enabled, deps
                     )
-                    target = intern_state(terminal, stopped)
                     edge_rate = branch_rate * probability
                     total_rate, completions = edges.get(target, (0.0, {}))
-                    completions = dict(completions)
                     # Completions are per-transition expectations, so each
                     # contribution is weighted by its share of the edge.
                     completions[activity.name] = (
@@ -417,7 +625,7 @@ def generate_state_space(
                 )
             )
 
-    n = len(states)
+    n = len(packed_rows)
     initial = np.zeros(n)
     # sorted() is free here: each state index is written exactly once.
     for state, probability in sorted(initial_probability.items()):
@@ -434,6 +642,7 @@ def generate_state_space(
     stop_mask = np.asarray(stop_flags, dtype=bool)
     absorbing = ~has_exit
 
+    states = _frozen_states(compiled, packed_rows, extras)
     return StateSpace(
         model_name=model.name,
         states=states,
@@ -442,5 +651,5 @@ def generate_state_space(
         absorbing=absorbing,
         stop_mask=stop_mask,
         initial_completions=initial_completions,
-        _index=index,
+        _index={state: number for number, state in enumerate(states)},
     )

@@ -216,3 +216,21 @@ def test_freeze_thaw_round_trips_arbitrary_markings(tokens):
     canonical = FrozenMarking({k: v for k, v in tokens.items() if v})
     assert frozen == canonical
     assert hash(frozen) == hash(canonical)
+
+
+@given(
+    st.dictionaries(
+        st.text(min_size=1, max_size=5), st.integers(min_value=0, max_value=20), max_size=8
+    )
+)
+def test_thaw_equals_a_marking_built_from_the_frozen_items(tokens):
+    frozen = FrozenMarking(tokens)
+    thawed = frozen.thaw()
+    rebuilt = Marking(dict(frozen.items()))
+    assert type(thawed) is Marking
+    # Same token dict, key order included, and an empty change journal.
+    assert list(thawed.as_dict().items()) == list(rebuilt.as_dict().items())
+    assert thawed.consume_changes() == set()
+    thawed["fresh"] = 1
+    assert thawed.consume_changes() == {"fresh"}
+    assert "fresh" not in frozen
